@@ -9,8 +9,10 @@
 //                              per-row deterministic "flops" (shape-derived,
 //                              diffed by the bench-diff ctest gate) plus
 //                              GFLOP/s + speedup (timing-dependent, ignored
-//                              by the gate). --quick shrinks the per-row
-//                              timing budget for CI.
+//                              by the gate). Thin-rank TTM rows also carry
+//                              the deterministic "bytes" of X; stdout shows
+//                              their effective GB/s. --quick shrinks the
+//                              per-row timing budget for CI.
 //   bench_kernels --gbench   — the original google-benchmark suite over the
 //                              local building blocks that calibrate the
 //                              strong-scaling model, plus the paper's two
@@ -90,6 +92,7 @@ struct JsonEntry {
   double flops;  ///< per-call flop count, a pure function of the shape
   double gflops;
   double ref_gflops;
+  double bytes = 0.0;  ///< per-call bytes of the streamed operand, if any
 };
 
 /// Seed-structure mode_gram: scalar slab transpose into scratch + per-slab
@@ -242,6 +245,36 @@ void bench_contraction(std::vector<JsonEntry>& out, const char* tag) {
                  gf, ref});
 }
 
+/// Thin-rank TTM at a DESIGN §1 local block: r is below the register tile,
+/// so la packs only U and reads X in place. The row's "bytes" is the size
+/// of X, so bytes / time is the effective bandwidth of the X stream.
+template <typename T>
+void bench_thin_ttm(const std::vector<idx_t>& dims, int mode, idx_t r,
+                    std::vector<JsonEntry>& out, const char* tag) {
+  auto x = random_tensor<T>(dims, 20);
+  auto u = random_matrix<T>(x.dim(mode), r, 21);
+  std::vector<idx_t> ydims = x.dims();
+  ydims[mode] = r;
+  tensor::Tensor<T> y(ydims);
+  const double flops = 2.0 * static_cast<double>(x.size() * r);
+  const double gf = time_gflops(flops, [&] {
+    auto yy = tensor::ttm(x, mode, u.cref(), la::Op::transpose);
+    benchmark::DoNotOptimize(yy.data());
+  });
+  const double ref =
+      time_gflops(flops, [&] { ttm_seed_ref<T>(x, mode, u.cref(), y); });
+  std::string name = std::string("ttm_") + tag;
+  char sep = '_';
+  for (idx_t d : dims) {
+    name += sep;
+    name += std::to_string(d);
+    sep = 'x';
+  }
+  name += "_mode" + std::to_string(mode) + "_r" + std::to_string(r);
+  out.push_back({name, flops, gf, ref,
+                 static_cast<double>(x.size()) * sizeof(T)});
+}
+
 /// The sketch-apply GEMM of dist_sketch_mode's mode-0 fast path: the local
 /// (m x K) unfolding times the tall-skinny (K x s) Omega block, s = r + p.
 template <typename T>
@@ -313,6 +346,15 @@ int run_json_report(const char* path) {
   bench_gemm_sketch_shape<double>(entries, "d");
   bench_gemm_sketch_shape<float>(entries, "s");
   bench_krp_apply<double>(entries, "d");
+  // Thin-rank TTM rows last, so earlier rows keep their JSON indices.
+  for (int mode = 0; mode < 3; ++mode) {
+    for (idx_t r : {4, 8, 16}) {
+      bench_thin_ttm<float>({256, 256, 128}, mode, r, entries, "s");
+    }
+  }
+  for (int mode : {0, 3}) {
+    bench_thin_ttm<double>({96, 96, 16, 32}, mode, 8, entries, "d");
+  }
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -322,15 +364,20 @@ int run_json_report(const char* path) {
   std::fprintf(f, "{\n  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];
+    std::fprintf(f, "    {\"name\": \"%s\", \"flops\": %.12g, ",
+                 e.name.c_str(), e.flops);
+    if (e.bytes > 0) std::fprintf(f, "\"bytes\": %.12g, ", e.bytes);
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"flops\": %.12g, "
                  "\"gflops\": %.3f, "
                  "\"ref_gflops\": %.3f, \"speedup\": %.2f}%s\n",
-                 e.name.c_str(), e.flops, e.gflops, e.ref_gflops,
-                 e.gflops / e.ref_gflops, i + 1 < entries.size() ? "," : "");
-    std::printf("%-36s %8.2f GF/s   ref %7.2f GF/s   %5.2fx\n",
+                 e.gflops, e.ref_gflops, e.gflops / e.ref_gflops,
+                 i + 1 < entries.size() ? "," : "");
+    std::printf("%-36s %8.2f GF/s   ref %7.2f GF/s   %5.2fx",
                 e.name.c_str(), e.gflops, e.ref_gflops,
                 e.gflops / e.ref_gflops);
+    // Effective bandwidth of the streamed operand: bytes / time.
+    if (e.bytes > 0) std::printf("   %6.2f GB/s", e.gflops * e.bytes / e.flops);
+    std::printf("\n");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/stats.hpp"
 
@@ -393,6 +394,199 @@ void gemm_driver(idx_t m, idx_t n, idx_t k, T alpha, const PA& pa,
   }
 }
 
+// ===========================================================================
+// Thin-operand path (TTM at rank r < MR).
+//
+// At r << n the packed driver pads r up to a full MR-row tile and copies the
+// whole tensor operand through a packer, for only r·k flops per tensor
+// element. The thin path packs only the small factor, reads the tensor
+// operand in place and sizes the register tile from r. Roles are kept:
+// vectors run along op(A)'s rows and op(B) is broadcast, exactly as in
+// micro_tile, and every output element accumulates in micro_tile's order
+// (sequentially over depth from zero within each KC block, blocks added
+// into C in order by the same write policy). Results are therefore bitwise
+// identical to the packed path on the same inputs.
+// ===========================================================================
+
+/// An element-strided view of an operand with depth index l: element
+/// (i, l) lives at p[i * si + l * sl], i indexing rows of op(A) or columns
+/// of op(B).
+template <typename T>
+struct Strided {
+  const T* p;
+  idx_t si;
+  idx_t sl;
+};
+
+/// Packs the (w x kc) block of `src` starting at depth pc depth-major:
+/// dst[l * w_pad + i] = src(i, pc + l), zero-padding i in [w, w_pad).
+template <typename T>
+void pack_depth_major(T* __restrict__ dst, idx_t w_pad, Strided<T> src,
+                      idx_t w, idx_t pc, idx_t kc) {
+  for (idx_t l = 0; l < kc; ++l) {
+    const T* s = src.p + (pc + l) * src.sl;
+    T* __restrict__ d = dst + l * w_pad;
+    for (idx_t i = 0; i < w; ++i) d[i] = s[i * src.si];
+    for (idx_t i = w; i < w_pad; ++i) d[i] = T{0};
+  }
+}
+
+/// A pure broadcast: x - (+0) is x for every x, so the compiler folds the
+/// subtraction away. micro_tile's `Vec{} + b` also maps -0 to +0 (a scalar
+/// add per broadcast), which cannot change a sum that starts from +0.
+template <typename T>
+inline typename Tile<T>::Vec splat(T x) {
+  return x - typename Tile<T>::Vec{};
+}
+
+/// Software prefetch of what the next tile streams in place: at depth step
+/// l, `vecs` vectors from at + l * step, with `at` advancing by per_col per
+/// column of b. Hardware prefetchers lose the dozens of short strided
+/// streams a thin tile walks. Held as byte addresses because the last
+/// tile's stream runs past the operand, where no pointer may point.
+struct Ahead {
+  std::uintptr_t at;
+  std::uintptr_t step;
+  std::uintptr_t per_col;
+  int vecs;
+
+  Ahead shifted(idx_t cols) const {
+    return {at + static_cast<std::uintptr_t>(cols) * per_col, step, per_col,
+            vecs};
+  }
+};
+
+/// Ahead for element strides from base + offset.
+template <typename T>
+Ahead ahead(const T* base, idx_t offset, idx_t step, idx_t per_col,
+            int vecs) {
+  const auto bytes = [](idx_t e) {
+    return static_cast<std::uintptr_t>(e) * sizeof(T);
+  };
+  return {reinterpret_cast<std::uintptr_t>(base) + bytes(offset), bytes(step),
+          bytes(per_col), vecs};
+}
+
+/// micro_tile with MU row vectors read from `a` at leading dimension lda
+/// and NJ broadcast columns of b.
+/// Writes column-major into out with leading dimension MR.
+template <typename T, int MU, int NJ>
+inline void thin_tile(idx_t kc, const T* __restrict__ a, idx_t lda,
+                      Strided<T> b, Ahead pf, T* __restrict__ out) {
+  using Vec = typename Tile<T>::Vec;
+  constexpr int VL = Tile<T>::VL, MR = Tile<T>::MR;
+  Vec acc[MU * NJ];
+  for (int x = 0; x < MU * NJ; ++x) acc[x] = Vec{};
+  for (idx_t l = 0; l < kc; ++l) {
+    for (int v = 0; v < pf.vecs; ++v) {
+      __builtin_prefetch(reinterpret_cast<const void*>(
+          pf.at + static_cast<std::uintptr_t>(l) * pf.step +
+          static_cast<std::uintptr_t>(v) * kVecBytes));
+    }
+    const T* __restrict__ al = a + l * lda;
+    const T* __restrict__ bl = b.p + l * b.sl;
+    Vec av[MU];
+    for (int u = 0; u < MU; ++u) {
+      av[u] = *reinterpret_cast<const Vec*>(al + u * VL);
+    }
+    for (int j = 0; j < NJ; ++j) {
+      const Vec bv = splat<T>(bl[j * b.si]);
+      for (int u = 0; u < MU; ++u) acc[u + j * MU] += av[u] * bv;
+    }
+  }
+  for (int j = 0; j < NJ; ++j) {
+    for (int u = 0; u < MU; ++u) {
+      *reinterpret_cast<Vec*>(out + j * MR + u * VL) = acc[u + j * MU];
+    }
+  }
+}
+
+/// Sweeps thin_tile over columns [0, n) of b in groups of NJ, handing the
+/// remainder to NJ/2, NJ/4, ... 1; emit(j0, nj) consumes each tile.
+template <typename T, int MU, int NJ, class Emit>
+void thin_cols(idx_t n, idx_t kc, const T* a, idx_t lda, Strided<T> b,
+               Ahead pf, T* tile, idx_t j_base, const Emit& emit) {
+  idx_t j0 = 0;
+  for (; j0 + NJ <= n; j0 += NJ) {
+    thin_tile<T, MU, NJ>(kc, a, lda, {b.p + j0 * b.si, b.si, b.sl},
+                         pf.shifted(j0), tile);
+    emit(j_base + j0, NJ);
+  }
+  if constexpr (NJ > 1) {
+    if (j0 < n) {
+      thin_cols<T, MU, NJ / 2>(n - j0, kc, a, lda,
+                               {b.p + j0 * b.si, b.si, b.sl}, pf.shifted(j0),
+                               tile, j_base + j0, emit);
+    }
+  }
+}
+
+/// C += alpha * op(A) * op(B) with m < MR rows: op(A) is packed per KC
+/// block into MU·VL-wide depth-major rows and op(B) is broadcast in place.
+/// With op(B)'s columns contiguous, each tile prefetches the next column
+/// group, spread evenly over its depth steps.
+template <typename T, int MU>
+void thin_rows_gemm(idx_t m, idx_t n, idx_t k, T alpha, Strided<T> a,
+                    Strided<T> b, const CwPlain<T>& cw) {
+  constexpr int VL = Tile<T>::VL, MR = Tile<T>::MR;
+  constexpr int NJ = (MU <= 3) ? 8 : 4;
+  T* ap = tls_scratch<T>().a.data();
+  alignas(64) T tile[MR * NJ];
+  for (idx_t pc = 0; pc < k; pc += kKC) {
+    const idx_t kc = std::min(kKC, k - pc);
+    const T* bk = b.p + pc * b.sl;
+    pack_depth_major(ap, MU * VL, a, m, pc, kc);
+    thin_cols<T, MU, NJ>(
+        n, kc, ap, MU * VL, {bk, b.si, b.sl},
+        ahead(bk, NJ * b.si, NJ * b.si / kc, b.si, b.sl == 1 ? 1 : 0), tile,
+        0, [&](idx_t j0, int nj) {
+          cw.add(0, j0, tile, static_cast<int>(m), nj, alpha);
+        });
+  }
+}
+
+/// Strided-batch C_s += alpha * A_s * op(B) with n < MR columns and
+/// m >= VL rows per slab: op(B) is packed per KC block and A_s is read in
+/// place in MU·VL-row runs that never straddle a slab. The last partial
+/// vector of a slab is recomputed as the overlapping vector ending at row
+/// m, so no load reaches past the slab. Each tile prefetches the rows of
+/// the next one.
+template <typename T, int MU, int NJ>
+void thin_batch_gemm(idx_t batch, idx_t m, idx_t n, idx_t k, T alpha,
+                     const T* a, idx_t a_stride, Strided<T> b, T* c,
+                     idx_t c_stride) {
+  constexpr int VL = Tile<T>::VL, MR = Tile<T>::MR;
+  T* bp = tls_scratch<T>().b.data();
+  alignas(64) T tile[MR * 8];
+  const Strided<T> bpack{bp, 1, n};  // (l, j) at bp[l * n + j]
+  for (idx_t pc = 0; pc < k; pc += kKC) {
+    const idx_t kc = std::min(kKC, k - pc);
+    pack_depth_major(bp, n, b, n, pc, kc);
+    for (idx_t s = 0; s < batch; ++s) {
+      const T* as = a + s * a_stride + pc * m;
+      const CwPlain<T> cw{c + s * c_stride, m};
+      idx_t i0 = 0;
+      for (; i0 + MU * VL <= m; i0 += MU * VL) {
+        thin_cols<T, MU, NJ>(n, kc, as + i0, m, bpack,
+                             ahead(as, i0 + MU * VL, m, 0, MU), tile, 0,
+                             [&](idx_t j0, int nj) {
+                               cw.add(i0, j0, tile, MU * VL, nj, alpha);
+                             });
+      }
+      for (; i0 < m; i0 += VL) {
+        const idx_t v0 = std::min(i0, m - VL);  // overlapping last vector
+        const int skip = static_cast<int>(i0 - v0);
+        thin_cols<T, 1, 8>(n, kc, as + v0, m, bpack,
+                           ahead(as, v0 + VL, m, 0, 1), tile, 0,
+                           [&](idx_t j0, int nj) {
+                             cw.add(i0, j0, tile + skip, VL - skip, nj,
+                                    alpha);
+                           });
+      }
+    }
+  }
+}
+
 template <typename T>
 void scale_matrix(MatrixRef<T> c, T beta) {
   if (beta == T{1}) return;
@@ -429,7 +623,20 @@ void gemm(Op op_a, Op op_b, T alpha, ConstMatrixRef<T> a, ConstMatrixRef<T> b,
   if (alpha == T{0} || m == 0 || n == 0 || ka == 0) return;
 
   const CwPlain<T> cw{c.data, c.ld};
-  if (op_a == Op::none && op_b == Op::none) {
+  if (m < Tile<T>::MR) {
+    // Thin rows (mode-0 TTM, r < MR): pack op(A) only, broadcast op(B) in
+    // place.
+    const Strided<T> sa = (op_a == Op::none) ? Strided<T>{a.data, 1, a.ld}
+                                             : Strided<T>{a.data, a.ld, 1};
+    const Strided<T> sb = (op_b == Op::none) ? Strided<T>{b.data, b.ld, 1}
+                                             : Strided<T>{b.data, 1, b.ld};
+    switch ((m + Tile<T>::VL - 1) / Tile<T>::VL) {
+      case 1: thin_rows_gemm<T, 1>(m, n, ka, alpha, sa, sb, cw); break;
+      case 2: thin_rows_gemm<T, 2>(m, n, ka, alpha, sa, sb, cw); break;
+      case 3: thin_rows_gemm<T, 3>(m, n, ka, alpha, sa, sb, cw); break;
+      default: thin_rows_gemm<T, 4>(m, n, ka, alpha, sa, sb, cw); break;
+    }
+  } else if (op_a == Op::none && op_b == Op::none) {
     gemm_driver(m, n, ka, alpha, PackACols<T>{a.data, a.ld},
                 PackBCols<T>{b.data, b.ld}, cw, false);
   } else if (op_a == Op::transpose && op_b == Op::none) {
@@ -444,6 +651,11 @@ void gemm(Op op_a, Op op_b, T alpha, ConstMatrixRef<T> a, ConstMatrixRef<T> b,
   }
   stats::add_flops(2.0 * static_cast<double>(m) * static_cast<double>(n) *
                    static_cast<double>(ka));
+}
+
+template <typename T>
+TileShape tile_shape() {
+  return {Tile<T>::VL, Tile<T>::MR};
 }
 
 template <typename T>
@@ -490,7 +702,19 @@ void gemm_strided_batch(Op op_b, idx_t batch, T alpha, const T* a, idx_t m,
 
   const PackABatchCols<T> pa{a, m, a_stride};
   const CwBatch<T> cw{c, m, c_stride};
-  if (op_b == Op::none) {
+  if (n < Tile<T>::MR && m >= Tile<T>::VL) {
+    // Thin columns (general-mode TTM, r < MR): pack op(B) only, read the
+    // slabs in place.
+    const Strided<T> sb = (op_b == Op::none) ? Strided<T>{b.data, b.ld, 1}
+                                             : Strided<T>{b.data, 1, b.ld};
+    if (n <= 4) {
+      thin_batch_gemm<T, 4, 4>(batch, m, n, k, alpha, a, a_stride, sb, c,
+                               c_stride);
+    } else {
+      thin_batch_gemm<T, 2, 8>(batch, m, n, k, alpha, a, a_stride, sb, c,
+                               c_stride);
+    }
+  } else if (op_b == Op::none) {
     gemm_driver(m * batch, n, k, alpha, pa, PackBCols<T>{b.data, b.ld}, cw,
                 false);
   } else {
@@ -734,6 +958,7 @@ void syrk_ref(T alpha, ConstMatrixRef<T> a, T beta, MatrixRef<T> c) {
 #define RAHOOI_INSTANTIATE_BLAS(T)                                            \
   template void gemm<T>(Op, Op, T, ConstMatrixRef<T>, ConstMatrixRef<T>, T,   \
                         MatrixRef<T>);                                        \
+  template TileShape tile_shape<T>();                                         \
   template Matrix<T> matmul<T>(Op, Op, ConstMatrixRef<T>, ConstMatrixRef<T>); \
   template void syrk<T>(T, ConstMatrixRef<T>, T, MatrixRef<T>);               \
   template void gemm_strided_batch<T>(Op, idx_t, T, const T*, idx_t, idx_t,   \

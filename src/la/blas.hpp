@@ -38,6 +38,20 @@ Matrix<T> matmul(Op op_a, Op op_b, ConstMatrixRef<T> a, ConstMatrixRef<T> b);
 template <typename T>
 void syrk(T alpha, ConstMatrixRef<T> a, T beta, MatrixRef<T> c);
 
+/// Register-tile geometry of the packed kernels in this build: vector length
+/// `vl` and tile rows `mr`, in elements of T. A product whose small side r —
+/// the m of gemm, the n of gemm_strided_batch (when its slabs have at least
+/// `vl` rows) — is below `mr` takes the thin-operand path: only the small
+/// factor is packed and the other operand is read in place. Results are
+/// bitwise identical either way; exposed so tests and benches can pick
+/// shapes on both sides of the switch.
+struct TileShape {
+  idx_t vl;
+  idx_t mr;
+};
+template <typename T>
+TileShape tile_shape();
+
 /// Strided-batch GEMM with one shared right-hand factor:
 ///
 ///   C_s = alpha * A_s * op(B) + beta * C_s   for s in [0, batch)
@@ -46,7 +60,8 @@ void syrk(T alpha, ConstMatrixRef<T> a, T beta, MatrixRef<T> c);
 /// dimension m) and C_s the (m x n) block at c + s * c_stride (leading
 /// dimension m). The batch is packed as a single virtual (batch*m x k)
 /// operand, so B is packed once and full MC/KC/NC blocking applies across
-/// slab boundaries — this is the general-mode TTM hot path.
+/// slab boundaries — this is the general-mode TTM hot path. At n < mr (see
+/// tile_shape) the slabs are instead read in place by the thin path.
 template <typename T>
 void gemm_strided_batch(Op op_b, idx_t batch, T alpha, const T* a, idx_t m,
                         idx_t k, idx_t a_stride, ConstMatrixRef<T> b, T beta,

@@ -5,10 +5,6 @@
 
 namespace rahooi::tensor {
 
-namespace detail {
-bool g_force_ttm_slab_fallback = false;
-}  // namespace detail
-
 template <typename T>
 Tensor<T> ttm(const Tensor<T>& x, int mode, la::ConstMatrixRef<T> u,
               la::Op op) {
@@ -27,7 +23,8 @@ Tensor<T> ttm(const Tensor<T>& x, int mode, la::ConstMatrixRef<T> u,
   if (mode == 0) {
     // Mode-1 unfolding is column-major in place: one large GEMM.
     // Y_(1) = op(U)^T_{applied from left}: with op=transpose,
-    // Y_(1) (r x right) = U^T X_(1); with op=none, Y_(1) = U X_(1).
+    // Y_(1) (r x right) = U^T X_(1); with op=none, Y_(1) = U X_(1). At a
+    // thin rank la packs only U and reads X in place.
     la::ConstMatrixRef<T> xm(x.data(), n, right, n);
     la::MatrixRef<T> ym{y.data(), result, right, result};
     const la::Op opa =
@@ -39,18 +36,12 @@ Tensor<T> ttm(const Tensor<T>& x, int mode, la::ConstMatrixRef<T> u,
   // General mode: each input slab (left x n) maps to an output slab
   // (left x result): out = in * U (transpose case) or out = in * U^T
   // (expansion case). Slabs are contiguous at stride left*n (input) and
-  // left*result (output), so the whole unfolding is one strided-batch GEMM:
-  // U is packed once and cache blocking spans slab boundaries.
+  // left*result (output), so the whole unfolding is one strided-batch GEMM
+  // with U packed once: at a thin rank the slabs are read in place,
+  // otherwise they are packed with cache blocking across slab boundaries.
   const idx_t left = x.left_size(mode);
   const la::Op op_b =
       (op == la::Op::transpose) ? la::Op::none : la::Op::transpose;
-  if (detail::g_force_ttm_slab_fallback) {
-    for (idx_t s = 0; s < right; ++s) {
-      la::gemm(la::Op::none, op_b, T{1}, x.slab(mode, s), u, T{0},
-               y.slab(mode, s));
-    }
-    return y;
-  }
   la::gemm_strided_batch(op_b, right, T{1}, x.data(), left, n, left * n, u,
                          T{0}, y.data(), result, left * result);
   return y;

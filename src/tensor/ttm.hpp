@@ -15,13 +15,6 @@
 
 namespace rahooi::tensor {
 
-namespace detail {
-/// Test hook: when true, general-mode ttm takes the per-slab GEMM loop
-/// instead of the batched kernel. Exists solely so tests can cross-validate
-/// the two paths; never set this on a hot path.
-extern bool g_force_ttm_slab_fallback;
-}  // namespace detail
-
 /// Y = X x_mode op(U).
 ///
 /// With op = transpose and U of shape (dim(mode) x r), computes the

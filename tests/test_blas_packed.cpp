@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -46,43 +47,67 @@ TYPED_TEST_SUITE(BlasPackedTyped, Scalars);
 constexpr idx_t kShapes[] = {1, 2, 3, 5, 7, 17, 64, 65};
 constexpr double kBetas[] = {0.0, 1.0, 0.5};
 
+/// gemm against gemm_ref at one shape, for all op combinations and betas,
+/// with every view at a non-unit leading dimension.
+template <typename T>
+void check_gemm_all_ops(idx_t m, idx_t n, idx_t k, std::uint64_t& seed) {
+  for (Op op_a : {Op::none, Op::transpose}) {
+    for (Op op_b : {Op::none, Op::transpose}) {
+      for (double beta : kBetas) {
+        // Padded allocations so every view has ld > rows.
+        const idx_t ar = (op_a == Op::none) ? m : k;
+        const idx_t ac = (op_a == Op::none) ? k : m;
+        const idx_t br = (op_b == Op::none) ? k : n;
+        const idx_t bc = (op_b == Op::none) ? n : k;
+        auto astore = random_matrix<T>(ar + 3, ac + 1, seed++);
+        auto bstore = random_matrix<T>(br + 2, bc + 1, seed++);
+        auto cstore = random_matrix<T>(m + 5, n + 1, seed++);
+        auto cref_store = cstore;  // identical initial contents
+        auto a = astore.cref().block(2, 1, ar, ac);
+        auto b = bstore.cref().block(1, 0, br, bc);
+        auto c = cstore.ref().block(3, 1, m, n);
+        auto cr = cref_store.ref().block(3, 1, m, n);
+        const T alpha = static_cast<T>(1.25);
+        gemm<T>(op_a, op_b, alpha, a, b, static_cast<T>(beta), c);
+        gemm_ref<T>(op_a, op_b, alpha, a, b, static_cast<T>(beta), cr);
+        // Deep products accumulate more rounding than the shallow sweep.
+        const double tol = rel_tol<T>() * (k > 65 ? 10 : 1);
+        ASSERT_LT(rel_err<T>(c, cr), tol)
+            << "m=" << m << " n=" << n << " k=" << k
+            << " op_a=" << static_cast<int>(op_a)
+            << " op_b=" << static_cast<int>(op_b) << " beta=" << beta;
+        // Padding around the C block must be untouched.
+        ASSERT_EQ(cstore(0, 0), cref_store(0, 0));
+        ASSERT_EQ(cstore(2, n), cref_store(2, n));
+        ASSERT_EQ(cstore(m + 4, n), cref_store(m + 4, n));
+      }
+    }
+  }
+}
+
 TYPED_TEST(BlasPackedTyped, GemmSweepAllOpsShapesBetasNonUnitLd) {
   using T = TypeParam;
-  const Op ops[] = {Op::none, Op::transpose};
   std::uint64_t seed = 1;
   for (idx_t m : kShapes) {
     for (idx_t n : kShapes) {
       for (idx_t k : kShapes) {
-        for (Op op_a : ops) {
-          for (Op op_b : ops) {
-            for (double beta : kBetas) {
-              // Padded allocations so every view has ld > rows.
-              const idx_t ar = (op_a == Op::none) ? m : k;
-              const idx_t ac = (op_a == Op::none) ? k : m;
-              const idx_t br = (op_b == Op::none) ? k : n;
-              const idx_t bc = (op_b == Op::none) ? n : k;
-              auto astore = random_matrix<T>(ar + 3, ac + 1, seed++);
-              auto bstore = random_matrix<T>(br + 2, bc + 1, seed++);
-              auto cstore = random_matrix<T>(m + 5, n + 1, seed++);
-              auto cref_store = cstore;  // identical initial contents
-              auto a = astore.cref().block(2, 1, ar, ac);
-              auto b = bstore.cref().block(1, 0, br, bc);
-              auto c = cstore.ref().block(3, 1, m, n);
-              auto cr = cref_store.ref().block(3, 1, m, n);
-              const T alpha = static_cast<T>(1.25);
-              gemm<T>(op_a, op_b, alpha, a, b, static_cast<T>(beta), c);
-              gemm_ref<T>(op_a, op_b, alpha, a, b, static_cast<T>(beta), cr);
-              ASSERT_LT(rel_err<T>(c, cr), rel_tol<T>())
-                  << "m=" << m << " n=" << n << " k=" << k
-                  << " op_a=" << static_cast<int>(op_a)
-                  << " op_b=" << static_cast<int>(op_b) << " beta=" << beta;
-              // Padding around the C block must be untouched.
-              ASSERT_EQ(cstore(0, 0), cref_store(0, 0));
-              ASSERT_EQ(cstore(m + 4, n), cref_store(m + 4, n));
-            }
-          }
-        }
+        check_gemm_all_ops<T>(m, n, k, seed);
+        if (::testing::Test::HasFatalFailure()) return;
       }
+    }
+  }
+  // Thin row: one side of C at the edges of the vector length and the
+  // register tile (the thin path switches at m < MR), the other side wide,
+  // and depths on both sides of KC = 256.
+  const TileShape tile = tile_shape<T>();
+  const idx_t wide = 37;
+  for (idx_t thin : {idx_t{1}, tile.vl - 1, tile.vl + 1, tile.mr - 1,
+                     tile.mr + 1}) {
+    if (thin < 1) continue;
+    for (idx_t k : {idx_t{255}, idx_t{256}, idx_t{257}, idx_t{600}}) {
+      check_gemm_all_ops<T>(thin, wide, k, seed);
+      check_gemm_all_ops<T>(wide, thin, k, seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -117,40 +142,139 @@ TYPED_TEST(BlasPackedTyped, SyrkSweepShapesBetas) {
   }
 }
 
+/// gemm_strided_batch against a per-slab gemm_ref loop at one shape.
+template <typename T>
+void check_strided_batch(idx_t batch, idx_t m, idx_t n, idx_t k, Op op_b,
+                         std::uint64_t seed) {
+  // Slabs embedded with a gap: stride exceeds the slab footprint.
+  const idx_t a_stride = m * k + 5, c_stride = m * n + 3;
+  std::vector<T> abuf(batch * a_stride), cbuf(batch * c_stride), crefbuf;
+  CounterRng rng(seed);
+  for (std::size_t i = 0; i < abuf.size(); ++i) {
+    abuf[i] = static_cast<T>(rng.normal(i));
+  }
+  for (std::size_t i = 0; i < cbuf.size(); ++i) {
+    cbuf[i] = static_cast<T>(rng.normal(i + abuf.size()));
+  }
+  crefbuf = cbuf;
+  auto bstore = random_matrix<T>((op_b == Op::none) ? k : n,
+                                 (op_b == Op::none) ? n : k, seed + 1);
+  gemm_strided_batch<T>(op_b, batch, static_cast<T>(1.5), abuf.data(), m, k,
+                        a_stride, bstore.cref(), static_cast<T>(0.5),
+                        cbuf.data(), n, c_stride);
+  for (idx_t s = 0; s < batch; ++s) {
+    ConstMatrixRef<T> as(abuf.data() + s * a_stride, m, k, m);
+    MatrixRef<T> cs{crefbuf.data() + s * c_stride, m, n, m};
+    gemm_ref<T>(Op::none, op_b, static_cast<T>(1.5), as, bstore.cref(),
+                static_cast<T>(0.5), cs);
+  }
+  for (std::size_t i = 0; i < cbuf.size(); ++i) {
+    ASSERT_NEAR(static_cast<double>(cbuf[i]), crefbuf[i], rel_tol<T>() * 100)
+        << "batch=" << batch << " m=" << m << " n=" << n << " k=" << k
+        << " op_b=" << static_cast<int>(op_b) << " i=" << i;
+  }
+}
+
 TYPED_TEST(BlasPackedTyped, StridedBatchGemmMatchesPerSlabLoop) {
-  using T = TypeParam;
+  // Slab heights below, at and across the register tile; ranks on both
+  // sides of the thin path's tile width; depths on both sides of KC.
   std::uint64_t seed = 2000;
   for (idx_t batch : {idx_t{1}, idx_t{3}, idx_t{9}}) {
-    for (Op op_b : {Op::none, Op::transpose}) {
-      const idx_t m = 13, k = 17, n = 6;
-      // Slabs embedded with a gap: stride exceeds the slab footprint.
-      const idx_t a_stride = m * k + 5, c_stride = m * n + 3;
-      std::vector<T> abuf(batch * a_stride), cbuf(batch * c_stride),
-          crefbuf;
-      CounterRng rng(seed++);
-      for (std::size_t i = 0; i < abuf.size(); ++i) {
-        abuf[i] = static_cast<T>(rng.normal(i));
+    for (idx_t m : {idx_t{13}, idx_t{64}, idx_t{65}, idx_t{130}}) {
+      for (idx_t n : {idx_t{1}, idx_t{4}, idx_t{6}, idx_t{17}}) {
+        for (idx_t k : {idx_t{17}, idx_t{257}}) {
+          for (Op op_b : {Op::none, Op::transpose}) {
+            check_strided_batch<TypeParam>(batch, m, n, k, op_b, seed);
+            if (::testing::Test::HasFatalFailure()) return;
+            seed += 2;
+          }
+        }
       }
-      for (std::size_t i = 0; i < cbuf.size(); ++i) {
-        cbuf[i] = static_cast<T>(rng.normal(i + abuf.size()));
+    }
+  }
+}
+
+/// Bit pattern equality (EXPECT_EQ on values would let +0 match -0).
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// The thin path needs no switch to test: zero-padding the small side r up
+// to the full register tile sends the same product down the packed path,
+// and its leading r rows (gemm) or columns (strided batch) must equal the
+// thin product bit for bit.
+TYPED_TEST(BlasPackedTyped, ThinPathBitwiseEqualsZeroPaddedPackedPath) {
+  using T = TypeParam;
+  const TileShape tile = tile_shape<T>();
+  const idx_t mr = tile.mr;
+  const T alpha = static_cast<T>(1.25), beta = static_cast<T>(0.5);
+  std::uint64_t seed = 7000;
+  for (idx_t r : {idx_t{1}, idx_t{3}, tile.vl - 1, tile.vl + 1, mr - 1}) {
+    if (r < 1) continue;
+    for (idx_t k : {idx_t{100}, idx_t{257}, idx_t{600}}) {
+      // gemm: op(A) is (r x k) thin against (mr x k) padded with zero rows.
+      const idx_t n = 37;
+      for (Op op_a : {Op::none, Op::transpose}) {
+        for (Op op_b : {Op::none, Op::transpose}) {
+          auto apad = (op_a == Op::none) ? random_matrix<T>(mr, k, seed++)
+                                         : random_matrix<T>(k, mr, seed++);
+          for (idx_t i = r; i < mr; ++i) {
+            for (idx_t l = 0; l < k; ++l) {
+              (op_a == Op::none ? apad(i, l) : apad(l, i)) = T{0};
+            }
+          }
+          const auto a = (op_a == Op::none) ? apad.cref().block(0, 0, r, k)
+                                            : apad.cref().block(0, 0, k, r);
+          auto b = (op_b == Op::none) ? random_matrix<T>(k, n, seed++)
+                                      : random_matrix<T>(n, k, seed++);
+          auto cpad = random_matrix<T>(mr, n, seed++);
+          auto c = cpad.leading_block(r, n);
+          gemm<T>(op_a, op_b, alpha, a, b.cref(), beta, c.ref());
+          gemm<T>(op_a, op_b, alpha, apad.cref(), b.cref(), beta, cpad.ref());
+          for (idx_t j = 0; j < n; ++j) {
+            for (idx_t i = 0; i < r; ++i) {
+              ASSERT_TRUE(same_bits(c(i, j), cpad(i, j)))
+                  << "gemm r=" << r << " k=" << k << " op_a="
+                  << static_cast<int>(op_a) << " op_b="
+                  << static_cast<int>(op_b) << " at " << i << "," << j;
+            }
+          }
+        }
       }
-      crefbuf = cbuf;
-      auto bstore = random_matrix<T>((op_b == Op::none) ? k : n,
-                                     (op_b == Op::none) ? n : k, seed++);
-      gemm_strided_batch<T>(op_b, batch, static_cast<T>(1.5), abuf.data(), m,
-                            k, a_stride, bstore.cref(), static_cast<T>(0.5),
-                            cbuf.data(), n, c_stride);
-      for (idx_t s = 0; s < batch; ++s) {
-        ConstMatrixRef<T> as(abuf.data() + s * a_stride, m, k, m);
-        MatrixRef<T> cs{crefbuf.data() + s * c_stride, m, n, m};
-        gemm_ref<T>(Op::none, op_b, static_cast<T>(1.5), as, bstore.cref(),
-                    static_cast<T>(0.5), cs);
-      }
-      for (std::size_t i = 0; i < cbuf.size(); ++i) {
-        ASSERT_NEAR(static_cast<double>(cbuf[i]), crefbuf[i],
-                    rel_tol<T>() * 100)
-            << "batch=" << batch << " op_b=" << static_cast<int>(op_b)
-            << " i=" << i;
+      // Strided batch: op(B) is (k x r) thin against (k x mr) padded with
+      // zero columns; slab heights at and past one vector.
+      const idx_t batch = 3;
+      for (idx_t m : {tile.vl, 2 * mr + 3}) {
+        for (Op op_b : {Op::none, Op::transpose}) {
+          auto a = random_matrix<T>(m * k, batch, seed++);
+          auto bpad = (op_b == Op::none) ? random_matrix<T>(k, mr, seed++)
+                                         : random_matrix<T>(mr, k, seed++);
+          for (idx_t j = r; j < mr; ++j) {
+            for (idx_t l = 0; l < k; ++l) {
+              (op_b == Op::none ? bpad(l, j) : bpad(j, l)) = T{0};
+            }
+          }
+          const auto b = (op_b == Op::none) ? bpad.cref().block(0, 0, k, r)
+                                            : bpad.cref().block(0, 0, r, k);
+          auto cpad = random_matrix<T>(m * mr, batch, seed++);
+          Matrix<T> c(m * r, batch);
+          for (idx_t s = 0; s < batch; ++s) {
+            for (idx_t i = 0; i < m * r; ++i) c(i, s) = cpad(i, s);
+          }
+          gemm_strided_batch<T>(op_b, batch, alpha, a.data(), m, k, m * k, b,
+                                beta, c.data(), r, m * r);
+          gemm_strided_batch<T>(op_b, batch, alpha, a.data(), m, k, m * k,
+                                bpad.cref(), beta, cpad.data(), mr, m * mr);
+          for (idx_t s = 0; s < batch; ++s) {
+            for (idx_t i = 0; i < m * r; ++i) {
+              ASSERT_TRUE(same_bits(c(i, s), cpad(i, s)))
+                  << "batch r=" << r << " k=" << k << " m=" << m
+                  << " op_b=" << static_cast<int>(op_b) << " slab " << s
+                  << " entry " << i;
+            }
+          }
+        }
       }
     }
   }
@@ -233,6 +357,22 @@ TEST(BlasPacked, BatchedKernelsRecordExactFlops) {
                                b.cref(), 0.0, c.data(), n, m * n);
   }
   EXPECT_DOUBLE_EQ(s.total_flops(), 2.0 * m * batch * n * k);
+
+  // Thin shapes: the small side below the register tile, read in place.
+  const TileShape tile = tile_shape<double>();
+  const idx_t thin = tile.mr - 1, tall = 2 * tile.mr + 1, deep = 300;
+  Stats st;
+  {
+    ScopedStats scoped(st);
+    Matrix<double> u(deep, thin), x(deep, tall), y(thin, tall);
+    gemm<double>(Op::transpose, Op::none, 1.0, u, x, 0.0, y.ref());
+    std::vector<double> xs(batch * tall * deep), ys(batch * tall * thin);
+    gemm_strided_batch<double>(Op::none, batch, 1.0, xs.data(), tall, deep,
+                               tall * deep, u.cref(), 0.0, ys.data(), thin,
+                               tall * thin);
+  }
+  const double thin_flops = 2.0 * static_cast<double>(thin * tall * deep);
+  EXPECT_DOUBLE_EQ(st.total_flops(), thin_flops * (1 + batch));
 
   Stats s2;
   {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/rank_adaptive.hpp"
@@ -27,6 +31,24 @@ struct PipelineCase {
   std::vector<int> grid;
   double eps;
 };
+
+template <typename T>
+void print_x(const std::vector<T>& v, std::ostream* os) {
+  for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+}
+
+// gtest would otherwise print the case as raw object bytes, which include
+// heap addresses: the discovered ctest names would then change from build to
+// build. Print the fields instead, so each case has a stable name.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "dims";
+  print_x(c.dims, os);
+  *os << "_ranks";
+  print_x(c.true_ranks, os);
+  *os << "_grid";
+  print_x(c.grid, os);
+  *os << "_eps" << c.eps;
+}
 
 class PipelineSweep : public ::testing::TestWithParam<PipelineCase> {};
 

@@ -8,6 +8,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -411,9 +412,12 @@ TEST(ObsExposition, TornReadIsDetected) {
 }
 
 TEST(ObsExporter, ConcurrentScrapesNeverSeeATornFile) {
-  const std::string dir = testing::TempDir();
-  const std::string prom = dir + "/obs_exporter_test.prom";
-  const std::string table = dir + "/obs_exporter_test.txt";
+  // Per-process names: ctest -j runs this test from rahooi_tests and from
+  // rahooi_sanitize_smoke at the same time, sharing TempDir().
+  const std::string base =
+      testing::TempDir() + std::to_string(::getpid()) + "_obs_exporter_test";
+  const std::string prom = base + ".prom";
+  const std::string table = base + ".txt";
   std::remove(prom.c_str());
   std::remove(table.c_str());
 

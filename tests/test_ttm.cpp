@@ -196,17 +196,23 @@ TEST(Ttm, ContractionRejectsMismatchedDims) {
 TYPED_TEST(TtmTyped, BatchedGeneralModeMatchesSlabFallback) {
   using T = TypeParam;
   // Cross-validate the strided-batch TTM path against the per-slab GEMM
-  // loop it replaced, in both truncation and expansion directions.
-  auto x = random_tensor<T>({5, 7, 3, 4}, 620);
+  // loop it replaced, in both truncation and expansion directions. The
+  // slab heights (5, 35, 105) fall on both sides of the thin path's
+  // one-vector minimum.
+  const auto x = random_tensor<T>({5, 7, 3, 4}, 620);
   for (int mode = 1; mode < 4; ++mode) {
     for (la::Op op : {la::Op::transpose, la::Op::none}) {
       auto u = (op == la::Op::transpose)
                    ? random_matrix<T>(x.dim(mode), 2, 621 + mode)
                    : random_matrix<T>(6, x.dim(mode), 631 + mode);
       auto batched = ttm(x, mode, u.cref(), op);
-      detail::g_force_ttm_slab_fallback = true;
-      auto slab = ttm(x, mode, u.cref(), op);
-      detail::g_force_ttm_slab_fallback = false;
+      Tensor<T> slab(batched.dims());
+      const la::Op op_b =
+          (op == la::Op::transpose) ? la::Op::none : la::Op::transpose;
+      for (idx_t s = 0; s < x.right_size(mode); ++s) {
+        la::gemm(la::Op::none, op_b, T{1}, x.slab(mode, s), u.cref(), T{0},
+                 slab.slab(mode, s));
+      }
       EXPECT_LT(max_diff(batched, slab), 10 * testutil::type_tol<T>())
           << "mode " << mode << " op " << static_cast<int>(op);
     }
