@@ -3,16 +3,17 @@
 //   bench_kernels [--quick] [out.json]
 //                            — default: times the packed GEMM/SYRK/TTM/Gram
 //                              kernels (plus the sketch-apply tall-skinny
-//                              GEMM and the Khatri-Rao fold) against the
-//                              retained naive references at representative
-//                              HOOI shapes and writes BENCH_kernels.json:
+//                              GEMM, the Khatri-Rao fold and the tensor
+//                              norm) against the retained naive references
+//                              at representative HOOI shapes and writes
+//                              BENCH_kernels.json:
 //                              per-row deterministic "flops" (shape-derived,
 //                              diffed by the bench-diff ctest gate) plus
 //                              GFLOP/s + speedup (timing-dependent, ignored
-//                              by the gate). Thin-rank TTM rows also carry
-//                              the deterministic "bytes" of X; stdout shows
-//                              their effective GB/s. --quick shrinks the
-//                              per-row timing budget for CI.
+//                              by the gate). Thin-rank TTM and norm rows
+//                              also carry the deterministic "bytes" of X;
+//                              stdout shows their effective GB/s. --quick
+//                              shrinks the per-row timing budget for CI.
 //   bench_kernels --gbench   — the original google-benchmark suite over the
 //                              local building blocks that calibrate the
 //                              strong-scaling model, plus the paper's two
@@ -245,6 +246,17 @@ void bench_contraction(std::vector<JsonEntry>& out, const char* tag) {
                  gf, ref});
 }
 
+/// `prefix` followed by the dims joined with 'x' ("ttm_s" -> "ttm_s_4x8").
+std::string shape_name(std::string prefix, const std::vector<idx_t>& dims) {
+  char sep = '_';
+  for (idx_t d : dims) {
+    prefix += sep;
+    prefix += std::to_string(d);
+    sep = 'x';
+  }
+  return prefix;
+}
+
 /// Thin-rank TTM at a DESIGN §1 local block: r is below the register tile,
 /// so la packs only U and reads X in place. The row's "bytes" is the size
 /// of X, so bytes / time is the effective bandwidth of the X stream.
@@ -263,16 +275,9 @@ void bench_thin_ttm(const std::vector<idx_t>& dims, int mode, idx_t r,
   });
   const double ref =
       time_gflops(flops, [&] { ttm_seed_ref<T>(x, mode, u.cref(), y); });
-  std::string name = std::string("ttm_") + tag;
-  char sep = '_';
-  for (idx_t d : dims) {
-    name += sep;
-    name += std::to_string(d);
-    sep = 'x';
-  }
-  name += "_mode" + std::to_string(mode) + "_r" + std::to_string(r);
-  out.push_back({name, flops, gf, ref,
-                 static_cast<double>(x.size()) * sizeof(T)});
+  out.push_back({shape_name(std::string("ttm_") + tag, dims) + "_mode" +
+                     std::to_string(mode) + "_r" + std::to_string(r),
+                 flops, gf, ref, static_cast<double>(x.size()) * sizeof(T)});
 }
 
 /// The sketch-apply GEMM of dist_sketch_mode's mode-0 fast path: the local
@@ -327,6 +332,24 @@ void bench_krp_apply(std::vector<JsonEntry>& out, const char* tag) {
                  ref});
 }
 
+/// Tensor::sum_squares (DistTensor::norm_squared's local pass) on a DESIGN
+/// §1 local block, against la::sum_squares' single serial accumulator. Two
+/// flops per entry; "bytes" is the size of X, so stdout shows the stream's
+/// GB/s.
+template <typename T>
+void bench_norm(const std::vector<idx_t>& dims, std::vector<JsonEntry>& out,
+                const char* tag) {
+  auto x = random_tensor<T>(dims, 22);
+  const double flops = 2.0 * static_cast<double>(x.size());
+  double sink = 0.0;
+  const double gf = time_gflops(flops, [&] { sink += x.sum_squares(); });
+  const double ref = time_gflops(
+      flops, [&] { sink += la::sum_squares(x.size(), x.data()); });
+  benchmark::DoNotOptimize(sink);
+  out.push_back({shape_name(std::string("norm_") + tag, dims), flops, gf, ref,
+                 static_cast<double>(x.size()) * sizeof(T)});
+}
+
 int run_json_report(const char* path) {
   std::vector<JsonEntry> entries;
   bench_gemm_square<double>(256, "d", entries);
@@ -355,6 +378,9 @@ int run_json_report(const char* path) {
   for (int mode : {0, 3}) {
     bench_thin_ttm<double>({96, 96, 16, 32}, mode, 8, entries, "d");
   }
+  // Norm rows after them, for the same reason.
+  bench_norm<float>({256, 256, 128}, entries, "s");
+  bench_norm<double>({96, 96, 16, 32}, entries, "d");
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {

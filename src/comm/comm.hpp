@@ -198,38 +198,62 @@ class Comm {
                   2.0 * bytes_of<T>(n) * (size() - 1) / size());
   }
 
-  /// Sums all ranks' full-length `in` arrays (length = sum of counts), then
-  /// scatters: rank r receives segment r (length counts[r]) of the total
-  /// into `out`. `counts` must be identical on all ranks.
+  /// Sums all ranks' `in` arrays, then scatters the total. `in` is `blocks`
+  /// equal consecutive groups, each holding the P destination segments in
+  /// rank order (segment r has counts[r] elements); rank r receives segment
+  /// r of every group, groups in order, into `out` (blocks * counts[r]
+  /// elements). With blocks = 1 this is MPI_Reduce_scatter. `counts` and
+  /// `blocks` must be identical on all ranks.
+  ///
+  /// Each rank sums its segments straight from the posted inputs in one
+  /// pass and writes `out` once: every element is +0 plus the ranks'
+  /// entries in canonical rank order, so the result does not depend on
+  /// which rank computes it. `in` stays posted until the exit barrier.
   template <typename T>
   void reduce_scatter_sum(const T* in, T* out,
-                          const std::vector<idx_t>& counts) const {
+                          const std::vector<idx_t>& counts,
+                          idx_t blocks = 1) const {
     prof::TraceSpan span("reduce_scatter");
     CollectiveGuard guard(ctx_.get(), rank_, "reduce_scatter");
     metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(static_cast<int>(counts.size()) == size(),
                    "reduce_scatter: counts size != communicator size");
-    const idx_t total = std::accumulate(counts.begin(), counts.end(),
+    RAHOOI_REQUIRE(blocks >= 0, "reduce_scatter: negative block count");
+    const idx_t group = std::accumulate(counts.begin(), counts.end(),
                                         idx_t{0});
+    const idx_t total = group * blocks;
     idx_t offset = 0;
     for (int r = 0; r < rank_; ++r) offset += counts[r];
     const idx_t mine = counts[rank_];
     if (size() == 1) {
-      std::copy(in, in + mine, out);
+      std::copy(in, in + total, out);
       return;
     }
-    // `counts` must be replicated, so the total byte count is part of the
-    // schedule contract.
+    // `counts` and `blocks` must be replicated, so the total byte count and
+    // the block geometry are part of the schedule contract.
     ctx_->schedule_check(
         rank_,
         SchedFingerprint{SchedOp::reduce_scatter, sched_dtype_tag<T>(), -1,
-                         static_cast<std::uint64_t>(total) * sizeof(T)});
+                         static_cast<std::uint64_t>(total) * sizeof(T),
+                         static_cast<std::uint64_t>(blocks)});
     ctx_->post(rank_, SlotEntry{in, nullptr, nullptr, 0});
     ctx_->barrier_wait();
-    std::fill(out, out + mine, T{});
-    for (int r = 0; r < size(); ++r) {
-      const T* src = static_cast<const T*>(ctx_->slot(r).in) + offset;
-      for (idx_t i = 0; i < mine; ++i) out[i] += src[i];
+    // Sum through a small stack accumulator so the rank loop stays outside
+    // the vectorizable element loops while `out` is still written once.
+    constexpr idx_t kChunk = 1024 / static_cast<idx_t>(sizeof(T));
+    T acc[kChunk] = {};
+    for (idx_t b = 0; b < blocks; ++b) {
+      const idx_t src0 = b * group + offset;
+      for (idx_t c0 = 0; c0 < mine; c0 += kChunk) {
+        const idx_t len = std::min(kChunk, mine - c0);
+        const T* s = static_cast<const T*>(ctx_->slot(0).in) + src0 + c0;
+        for (idx_t i = 0; i < len; ++i) acc[i] = T{} + s[i];
+        for (int r = 1; r < size(); ++r) {
+          s = static_cast<const T*>(ctx_->slot(r).in) + src0 + c0;
+          for (idx_t i = 0; i < len; ++i) acc[i] += s[i];
+        }
+        std::copy(acc, acc + len, out + b * mine + c0);
+      }
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
     // Recursive halving: n(P-1)/P per rank on the full input length.

@@ -30,6 +30,7 @@ std::uint64_t chain(std::uint64_t h, const SchedFingerprint& fp) {
   h = fnv1a(h, static_cast<std::uint64_t>(fp.dtype));
   h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(fp.root)));
   h = fnv1a(h, fp.bytes);
+  h = fnv1a(h, fp.blocks);
   return h;
 }
 
@@ -81,6 +82,7 @@ std::string ScheduleChecker::divergence_report(int rank_a, int rank_b) const {
        << "(dtype=" << sched_dtype_name(s.fp.dtype);
     if (s.fp.root >= 0) os << ", root=" << s.fp.root;
     if (s.fp.bytes > 0) os << ", bytes=" << s.fp.bytes;
+    if (s.fp.blocks > 0) os << ", blocks=" << s.fp.blocks;
     os << ") at span \"" << s.path << "\", schedule hash " << hex(s.hash);
     return os.str();
   };

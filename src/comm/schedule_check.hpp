@@ -12,9 +12,9 @@
 //
 // When enabled (RunOptions::comm_check / RAHOOI_COMM_CHECK), every
 // collective entry records a fingerprint — op kind, communicator id, root,
-// dtype, byte count — chained into a per-rank rolling FNV-1a schedule hash,
-// and the fingerprints are cross-validated at an extra rendezvous before
-// the collective runs. A mismatch aborts the world with a report naming
+// dtype, byte count, reduce-scatter block count — chained into a per-rank
+// rolling FNV-1a schedule hash, and the fingerprints are cross-validated at
+// an extra rendezvous before the collective runs. A mismatch aborts the world with a report naming
 // both ranks' ops, prof span paths, and the first mismatching call index.
 //
 // Overhead when off: one relaxed atomic load per collective (the
@@ -70,6 +70,7 @@ struct SchedFingerprint {
   std::uint32_t dtype = 0;   ///< sched_dtype_tag<T>(), 0 when no payload
   std::int32_t root = -1;    ///< root rank, -1 when the op has none
   std::uint64_t bytes = 0;   ///< replicated payload bytes, 0 otherwise
+  std::uint64_t blocks = 0;  ///< reduce_scatter block count, 0 otherwise
 
   bool operator==(const SchedFingerprint&) const = default;
 };

@@ -59,7 +59,10 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
   out.x_norm_sq = x.norm_squared();
   const double tau_sq = eps * eps * out.x_norm_sq / d;
 
-  dist::DistTensor<T> y = x;
+  // Walk the truncation chain without copying X: mode j reads `*src`, which
+  // is X itself for j = 0 and the previous mode's TTM result afterwards.
+  const dist::DistTensor<T>* src = &x;
+  dist::DistTensor<T> y;
   out.factors.reserve(d);
   for (int j = 0; j < d; ++j) {
     prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
@@ -76,15 +79,17 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
                                         : dist::SketchKind::krp;
       const CounterRng rng =
           CounterRng(seed).stream(0x5EEDDA7Aull).stream(j);
-      llsv = llsv_sketch(y, j, fixed, tau_sq, kind, sketch, rng);
+      llsv = llsv_sketch(*src, j, fixed, tau_sq, kind, sketch, rng);
     } else if (kernel == LlsvKernel::qr_svd) {
-      llsv = llsv_qr_svd(y, j, fixed, tau_sq);
+      llsv = llsv_qr_svd(*src, j, fixed, tau_sq);
     } else {
-      llsv = fixed > 0 ? llsv_gram(y, j, fixed) : llsv_gram_tol(y, j, tau_sq);
+      llsv = fixed > 0 ? llsv_gram(*src, j, fixed)
+                       : llsv_gram_tol(*src, j, tau_sq);
     }
     {
       prof::TraceSpan t("ttm", Phase::ttm);
-      y = dist::dist_ttm(y, j, llsv.u.cref());
+      y = dist::dist_ttm(*src, j, llsv.u.cref());
+      src = &y;
     }
     out.factors.push_back(std::move(llsv.u));
   }

@@ -1,5 +1,6 @@
 #include "dist/dist_ops.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "la/qr.hpp"
@@ -45,33 +46,16 @@ DistTensor<T> dist_ttm(const DistTensor<T>& x, int mode,
     return y;
   }
 
-  // Reduce-scatter the partials along the mode's grid dimension. Pack the
-  // partial so that destination q's slice (its block of the r extent) is
-  // contiguous and already in q's local first-mode-fastest layout.
+  // Reduce-scatter the partials along the mode's grid dimension, straight
+  // from the partial's own layout: it is `right` consecutive groups of
+  // left*r entries, and destination q's slice of each group is its block of
+  // the r extent, left*len_q entries at offset left*off_q, already in q's
+  // local first-mode-fastest order.
   const idx_t left = partial.left_size(mode);
-  const idx_t right = partial.right_size(mode);
   std::vector<idx_t> counts(pj);
-  std::vector<T> sendbuf(static_cast<std::size_t>(partial.size()));
-  const metrics::ScopedBytes sendbuf_bytes(
-      metrics::MemScope::pack_buffer,
-      static_cast<double>(sendbuf.size()) * sizeof(T));
-  idx_t base = 0;
-  for (int q = 0; q < pj; ++q) {
-    const idx_t off = block_offset(r, pj, q);
-    const idx_t len = block_size(r, pj, q);
-    counts[q] = left * len * right;
-    for (idx_t s = 0; s < right; ++s) {
-      auto sl = partial.slab(mode, s);
-      for (idx_t a = 0; a < len; ++a) {
-        const T* src = sl.col(off + a);
-        std::copy(src, src + left, sendbuf.data() + base +
-                                       (s * len + a) * left);
-      }
-    }
-    base += counts[q];
-  }
-  grid.mode_comm(mode).reduce_scatter_sum(sendbuf.data(), y.local().data(),
-                                          counts);
+  for (int q = 0; q < pj; ++q) counts[q] = left * block_size(r, pj, q);
+  grid.mode_comm(mode).reduce_scatter_sum(partial.data(), y.local().data(),
+                                          counts, partial.right_size(mode));
   return y;
 }
 
@@ -82,6 +66,8 @@ la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode) {
   RAHOOI_REQUIRE(mode >= 0 && mode < x.ndims(),
                  "redistribute_mode: bad mode");
   const int pj = grid.dim(mode);
+  RAHOOI_REQUIRE(pj > 1,
+                 "redistribute_mode: an undistributed mode is already local");
   const idx_t n = x.global_dim(mode);
   const idx_t m_loc = x.local_dim(mode);
   const idx_t left = x.local().left_size(mode);
@@ -91,17 +77,6 @@ la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode) {
   // My chunk of the fiber range after redistribution.
   const idx_t my_fibers = block_size(fibers, pj, grid.coord(mode));
   la::Matrix<T> cols(n, my_fibers);
-
-  if (pj == 1) {
-    // No communication: columns [s*left, (s+1)*left) of the fiber matrix
-    // are exactly slab s transposed, so blocked transposes replace the
-    // scalar fiber gather.
-    for (idx_t s = 0; s < right; ++s) {
-      la::transpose(x.local().slab(mode, s),
-                    cols.ref().block(0, s * left, n, left));
-    }
-    return cols;
-  }
 
   // Pack: destination q receives my m_loc-segment of each fiber in q's
   // chunk, fibers in chunk order, segment entries contiguous.
@@ -154,10 +129,15 @@ la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode) {
 template <typename T>
 la::Matrix<T> dist_mode_gram(const DistTensor<T>& x, int mode) {
   prof::TraceSpan span("dist_gram", static_cast<std::int64_t>(mode));
-  la::Matrix<T> cols = redistribute_mode(x, mode);
-  const idx_t n = x.global_dim(mode);
-  la::Matrix<T> gram(n, n);
-  la::syrk(T{1}, cols.cref(), T{0}, gram.ref());
+  la::Matrix<T> gram;
+  if (x.grid().dim(mode) == 1) {
+    // The local block already holds whole mode fibers: Gram it in place.
+    gram = tensor::mode_gram(x.local(), mode);
+  } else {
+    la::Matrix<T> cols = redistribute_mode(x, mode);
+    gram = la::Matrix<T>(x.global_dim(mode), x.global_dim(mode));
+    la::syrk(T{1}, cols.cref(), T{0}, gram.ref());
+  }
   x.grid().world().allreduce_sum(gram.data(), gram.size());
   return gram;
 }
@@ -172,13 +152,19 @@ la::Matrix<T> dist_contract_all_but_one(const DistTensor<T>& y,
     RAHOOI_REQUIRE(j == mode || y.global_dim(j) == g.global_dim(j),
                    "contraction operands must agree in non-contracted dims");
   }
-  la::Matrix<T> ycols = redistribute_mode(y, mode);
-  la::Matrix<T> gcols = redistribute_mode(g, mode);
-  RAHOOI_REQUIRE(ycols.cols() == gcols.cols(),
-                 "contraction fiber chunks must align");
-  la::Matrix<T> z(y.global_dim(mode), g.global_dim(mode));
-  la::gemm(la::Op::none, la::Op::transpose, T{1}, ycols.cref(), gcols.cref(),
-           T{0}, z.ref());
+  la::Matrix<T> z;
+  if (y.grid().dim(mode) == 1) {
+    // Both local blocks hold whole mode fibers: contract them in place.
+    z = tensor::contract_all_but_one(y.local(), g.local(), mode);
+  } else {
+    la::Matrix<T> ycols = redistribute_mode(y, mode);
+    la::Matrix<T> gcols = redistribute_mode(g, mode);
+    RAHOOI_REQUIRE(ycols.cols() == gcols.cols(),
+                   "contraction fiber chunks must align");
+    z = la::Matrix<T>(y.global_dim(mode), g.global_dim(mode));
+    la::gemm(la::Op::none, la::Op::transpose, T{1}, ycols.cref(),
+             gcols.cref(), T{0}, z.ref());
+  }
   y.grid().world().allreduce_sum(z.data(), z.size());
   return z;
 }
@@ -187,14 +173,31 @@ template <typename T>
 la::Matrix<T> dist_mode_tsqr_r(const DistTensor<T>& x, int mode) {
   prof::TraceSpan span("tsqr", static_cast<std::int64_t>(mode));
   const idx_t n = x.global_dim(mode);
-  la::Matrix<T> cols = redistribute_mode(x, mode);
 
   // Local stage: rows of the transposed unfolding this rank owns. When the
   // rank holds at least n columns, compress them to an n x n R factor;
   // otherwise the (fewer-than-n)-row block itself is this rank's
   // contribution (its Gram is preserved either way).
-  la::Matrix<T> colsT(cols.cols(), n);
-  la::transpose(cols.cref(), colsT.ref());
+  la::Matrix<T> colsT;
+  if (x.grid().dim(mode) == 1) {
+    // Rows [s*left, (s+1)*left) of the transposed unfolding are slab s
+    // itself: copy each slab column straight into place.
+    const tensor::Tensor<T>& loc = x.local();
+    const idx_t left = loc.left_size(mode);
+    const idx_t right = loc.right_size(mode);
+    colsT = la::Matrix<T>(left * right, n);
+    for (idx_t s = 0; s < right; ++s) {
+      const auto slab = loc.slab(mode, s);
+      for (idx_t a = 0; a < n; ++a) {
+        std::copy(slab.col(a), slab.col(a) + left,
+                  colsT.data() + a * colsT.rows() + s * left);
+      }
+    }
+  } else {
+    la::Matrix<T> cols = redistribute_mode(x, mode);
+    colsT = la::Matrix<T>(cols.cols(), n);
+    la::transpose(cols.cref(), colsT.ref());
+  }
   la::Matrix<T> local =
       colsT.rows() >= n ? la::qr_thin<T>(colsT.cref()).r : std::move(colsT);
 

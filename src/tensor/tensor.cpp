@@ -2,13 +2,33 @@
 
 #include <cmath>
 
-#include "la/blas.hpp"
-
 namespace rahooi::tensor {
 
 template <typename T>
 double Tensor<T>::sum_squares() const {
-  return la::sum_squares(size(), data());
+  // Fixed-lane accumulation: lane l sums the entries i with i mod kLanes ==
+  // l in index order, and the lanes are combined by a fixed pairwise tree,
+  // so the lanes vectorize and the result stays a fixed function of the
+  // data.
+  constexpr idx_t kLanes = 16;
+  const T* x = data();
+  const idx_t n = size();
+  double acc[kLanes] = {};
+  idx_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (idx_t l = 0; l < kLanes; ++l) {
+      const double v = static_cast<double>(x[i + l]);
+      acc[l] += v * v;
+    }
+  }
+  for (idx_t l = 0; i < n; ++i, ++l) {
+    const double v = static_cast<double>(x[i]);
+    acc[l] += v * v;
+  }
+  for (idx_t w = kLanes / 2; w > 0; w /= 2) {
+    for (idx_t l = 0; l < w; ++l) acc[l] += acc[l + w];
+  }
+  return acc[0];
 }
 
 template <typename T>

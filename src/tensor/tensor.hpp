@@ -80,7 +80,9 @@ class Tensor {
     return (*this)[linear_index(idx)];
   }
 
-  /// Sum of squared entries accumulated in double (norm^2).
+  /// Sum of squared entries accumulated in double (norm^2), over 16 fixed
+  /// lanes combined in a fixed order: deterministic, but not the bits of a
+  /// single serial accumulator (la::sum_squares).
   double sum_squares() const;
 
   /// Frobenius-style tensor norm.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "comm/runtime.hpp"
+#include "common/rng.hpp"
 
 namespace rahooi::comm {
 namespace {
@@ -87,22 +90,74 @@ TEST(Comm, AllreduceScalar) {
   });
 }
 
-TEST(Comm, ReduceScatterSplitsTheSum) {
-  Runtime::run(3, [](Comm& world) {
-    // counts: 2, 1, 3 -> total 6
-    const std::vector<idx_t> counts = {2, 1, 3};
-    std::vector<double> in(6);
-    for (int i = 0; i < 6; ++i) in[i] = world.rank() == 0 ? i : 1.0;
-    std::vector<double> out(counts[world.rank()], -1.0);
-    world.reduce_scatter_sum(in.data(), out.data(), counts);
-    // sum over ranks: rank0 contributes i, ranks 1-2 contribute 1 each.
-    const idx_t offset = world.rank() == 0 ? 0 : (world.rank() == 1 ? 2 : 3);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_DOUBLE_EQ(out[i],
-                       static_cast<double>(offset + static_cast<idx_t>(i)) +
-                           2.0);
+/// Rank `r`'s reduce-scatter input entry `i`: magnitudes differ by rank so
+/// the summation order shows in the rounding, and entries marked by `neg0`
+/// are -0 on every rank (their sum from +0 is +0).
+template <typename T>
+T scatter_input(int r, idx_t i, bool neg0) {
+  if (neg0) return -T{0};
+  static constexpr double kScale[] = {1.0, 1e6, 1e-3, 1e3};
+  CounterRng rng(77);
+  return static_cast<T>(kScale[r] * rng.normal(static_cast<std::uint64_t>(
+                                        i * 4 + static_cast<idx_t>(r))));
+}
+
+template <typename T>
+void check_reduce_scatter(int p, const std::vector<idx_t>& counts,
+                          idx_t blocks) {
+  Runtime::run(p, [&](Comm& world) {
+    const idx_t group = std::accumulate(counts.begin(), counts.end(),
+                                        idx_t{0});
+    // The first entry of every destination segment is a -0 marker.
+    std::vector<bool> neg0(static_cast<std::size_t>(group), false);
+    idx_t seg = 0;
+    for (const idx_t c : counts) {
+      if (c > 0) neg0[static_cast<std::size_t>(seg)] = true;
+      seg += c;
+    }
+    std::vector<T> in(static_cast<std::size_t>(group * blocks));
+    for (idx_t i = 0; i < group * blocks; ++i) {
+      in[static_cast<std::size_t>(i)] = scatter_input<T>(
+          world.rank(), i, neg0[static_cast<std::size_t>(i % group)]);
+    }
+    const idx_t mine = counts[static_cast<std::size_t>(world.rank())];
+    idx_t offset = 0;
+    for (int r = 0; r < world.rank(); ++r) offset += counts[r];
+    std::vector<T> out(static_cast<std::size_t>(mine * blocks),
+                       static_cast<T>(-7));
+    world.reduce_scatter_sum(in.data(), out.data(), counts, blocks);
+    // Reference: +0 plus every rank's entry in rank order.
+    for (idx_t b = 0; b < blocks; ++b) {
+      for (idx_t i = 0; i < mine; ++i) {
+        const idx_t g = b * group + offset + i;
+        T expect = T{};
+        for (int r = 0; r < p; ++r) {
+          expect += scatter_input<T>(
+              r, g, neg0[static_cast<std::size_t>(g % group)]);
+        }
+        const T got = out[static_cast<std::size_t>(b * mine + i)];
+        EXPECT_EQ(std::memcmp(&got, &expect, sizeof(T)), 0)
+            << "P=" << p << " blocks=" << blocks << " rank " << world.rank()
+            << " block " << b << " entry " << i << ": " << got << " vs "
+            << expect;
+      }
     }
   });
+}
+
+TEST(Comm, ReduceScatterSplitsTheSum) {
+  // Uneven counts with a zero count, including segments longer than the
+  // collective's accumulation chunk; `blocks` = 1 is the MPI contract and
+  // 3 the block-strided layout dist_ttm posts.
+  const std::vector<std::vector<idx_t>> counts_by_p = {
+      {0, 300}, {131, 0, 2}, {3, 257, 0, 1}};
+  for (const auto& counts : counts_by_p) {
+    const int p = static_cast<int>(counts.size());
+    for (const idx_t blocks : {1, 3}) {
+      check_reduce_scatter<double>(p, counts, blocks);
+      check_reduce_scatter<float>(p, counts, blocks);
+    }
+  }
 }
 
 TEST(Comm, AllgathervConcatenatesByRank) {

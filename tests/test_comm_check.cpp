@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,8 @@ TEST(CommCheck, CleanScheduleRunsToCompletion) {
         std::vector<idx_t> counts(4, 4);
         std::vector<double> seg(4, 0.0);
         world.reduce_scatter_sum(v.data(), seg.data(), counts);
+        world.reduce_scatter_sum(v.data(), seg.data(),
+                                 std::vector<idx_t>(4, 2), 2);
         EXPECT_DOUBLE_EQ(world.allreduce_scalar(1.0), 4.0);
       },
       nullptr, nullptr, checked());
@@ -74,23 +77,45 @@ TEST(CommCheck, DivergentOpIsKilledWithTwoRankReport) {
 }
 
 TEST(CommCheck, PayloadSizeDivergenceIsKilled) {
-  std::string report;
-  try {
-    Runtime::run(
-        4,
-        [](Comm& world) {
-          std::vector<double> v(8, 1.0);
-          world.allreduce_sum(v.data(), world.rank() == 1 ? 4 : 8);
-        },
-        nullptr, nullptr, checked());
-    FAIL() << "byte-count divergence was not killed";
-  } catch (const ScheduleDivergenceError& e) {
-    report = e.what();
+  // Each case diverges one rank in the payload a collective declares; the
+  // report must show both ranks' values.
+  struct Case {
+    const char* what;
+    std::function<void(Comm&)> body;
+    const char* steady;  ///< the other ranks' value, as the report shows it
+    const char* rogue;   ///< rank 1's value
+  };
+  const std::vector<Case> cases = {
+      {"byte count",
+       [](Comm& world) {
+         std::vector<double> v(8, 1.0);
+         world.allreduce_sum(v.data(), world.rank() == 1 ? 4 : 8);
+       },
+       "bytes=64", "bytes=32"},
+      {"reduce-scatter block geometry (same byte count)",
+       [](Comm& world) {
+         std::vector<double> v(16, 1.0), seg(4, 0.0);
+         const bool rogue = world.rank() == 1;
+         world.reduce_scatter_sum(v.data(), seg.data(),
+                                  std::vector<idx_t>(4, rogue ? 2 : 4),
+                                  rogue ? 2 : 1);
+       },
+       "blocks=1", "blocks=2"},
+  };
+  for (const Case& c : cases) {
+    std::string report;
+    try {
+      Runtime::run(4, c.body, nullptr, nullptr, checked());
+      ADD_FAILURE() << c.what << " divergence was not killed";
+    } catch (const ScheduleDivergenceError& e) {
+      report = e.what();
+    }
+    EXPECT_NE(report.find(c.steady), std::string::npos) << c.what << report;
+    EXPECT_NE(report.find(c.rogue), std::string::npos) << c.what << report;
+    EXPECT_NE(report.find("first mismatching call index #1"),
+              std::string::npos)
+        << c.what << report;
   }
-  EXPECT_NE(report.find("bytes=64"), std::string::npos) << report;
-  EXPECT_NE(report.find("bytes=32"), std::string::npos) << report;
-  EXPECT_NE(report.find("first mismatching call index #1"), std::string::npos)
-      << report;
 }
 
 TEST(CommCheck, RootDivergenceIsKilled) {
@@ -154,6 +179,11 @@ TEST(CommCheck, FingerprintEqualityAndDtypeTags) {
   EXPECT_EQ(a, b);
   b.bytes = 32;
   EXPECT_NE(a, b);
+  SchedFingerprint c{SchedOp::reduce_scatter, sched_dtype_tag<double>(), -1,
+                     64, 1};
+  SchedFingerprint d = c;
+  d.blocks = 2;
+  EXPECT_NE(c, d);
   EXPECT_NE(sched_dtype_tag<float>(), sched_dtype_tag<double>());
   EXPECT_NE(sched_dtype_tag<std::int32_t>(), sched_dtype_tag<float>());
   EXPECT_EQ(sched_dtype_name(sched_dtype_tag<double>()), "f8");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "comm/runtime.hpp"
@@ -146,6 +148,49 @@ TEST(DistTensor, GenerateMatchesSerialEveryGrid) {
   }
 }
 
+/// Sum of squares in long double, one term at a time: the reference the
+/// lane-parallel Tensor::sum_squares is held to.
+template <typename T>
+long double sum_squares_ld(const tensor::Tensor<T>& x) {
+  long double acc = 0.0L;
+  for (idx_t i = 0; i < x.size(); ++i) {
+    acc += static_cast<long double>(x[i]) * static_cast<long double>(x[i]);
+  }
+  return acc;
+}
+
+template <typename T>
+void check_norm_against_serial() {
+  // Local block sizes with n mod 16 in {0, 1, 15} (the lane count), and an
+  // empty block: 4 ranks over mode 1 of extent 3 leave coordinate 3 empty.
+  for (const idx_t n : {idx_t{0}, idx_t{1}, idx_t{15}, idx_t{16}, idx_t{17},
+                        idx_t{31}, idx_t{160}}) {
+    const auto t = testutil::random_tensor<T>({n}, 960 + n);
+    const long double expect = sum_squares_ld(t);
+    EXPECT_NEAR(t.sum_squares(), static_cast<double>(expect),
+                1e-14 * static_cast<double>(expect))
+        << "n=" << n;
+  }
+  const std::vector<idx_t> dims = {9, 3, 8};
+  const auto serial = serial_tensor<T>(dims);
+  const double expect = static_cast<double>(sum_squares_ld(serial));
+  comm::Runtime::run(4, [&](comm::Comm& world) {
+    ProcessorGrid grid(world, {1, 4, 1});
+    auto x = make_dist<T>(grid, dims);
+    EXPECT_NEAR(x.norm_squared(), expect, 1e-14 * expect);
+    EXPECT_NEAR(x.norm(), std::sqrt(expect), 1e-14 * std::sqrt(expect));
+  });
+  // A NaN or Inf anywhere, in the lane body or the tail, reaches the sum.
+  for (const idx_t at : {idx_t{0}, idx_t{7}, idx_t{16}, idx_t{32}}) {
+    auto t = testutil::random_tensor<T>({33}, 970);
+    t[at] = std::numeric_limits<T>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(t.sum_squares())) << "NaN at " << at;
+    t[at] = -std::numeric_limits<T>::infinity();
+    EXPECT_EQ(t.sum_squares(), std::numeric_limits<double>::infinity())
+        << "Inf at " << at;
+  }
+}
+
 TEST(DistTensor, NormMatchesSerial) {
   const std::vector<idx_t> dims = {7, 6, 5};
   const auto serial = serial_tensor<double>(dims);
@@ -155,6 +200,8 @@ TEST(DistTensor, NormMatchesSerial) {
     EXPECT_NEAR(x.norm_squared(), serial.sum_squares(), 1e-9);
     EXPECT_NEAR(x.norm(), serial.norm(), 1e-10);
   });
+  check_norm_against_serial<float>();
+  check_norm_against_serial<double>();
 }
 
 TEST(DistTensor, LocalOffsetsTileTheGlobalRange) {
@@ -188,7 +235,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::vector<int>{1, 1, 1}, std::vector<int>{2, 1, 1},
                       std::vector<int>{1, 2, 1}, std::vector<int>{1, 1, 2},
                       std::vector<int>{2, 2, 1}, std::vector<int>{2, 2, 2},
-                      std::vector<int>{1, 4, 2}));
+                      std::vector<int>{1, 4, 2}, std::vector<int>{1, 3, 1},
+                      std::vector<int>{3, 1, 2}));
 
 TEST_P(DistOpsGrids, TtmMatchesSerialEveryMode) {
   const std::vector<int> gdims = GetParam();
@@ -272,6 +320,112 @@ TEST_P(DistOpsGrids, ChainedTtmsMatchSerialMultiTtm) {
   });
 }
 
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+void check_ttm_is_rank_order_sum(const std::vector<int>& gdims) {
+  const std::vector<idx_t> dims = {8, 7, 6};
+  const int p = gdims[0] * gdims[1] * gdims[2];
+  const idx_t r = 5;
+  for (int mode = 0; mode < 3; ++mode) {
+    auto u = random_matrix<T>(dims[mode], r, 980 + mode);
+    comm::Runtime::run(p, [&](comm::Comm& world) {
+      ProcessorGrid grid(world, gdims);
+      auto x = make_dist<T>(grid, dims);
+      auto y = dist_ttm(x, mode, u.cref());
+      // Every rank's partial, gathered along the mode's grid dimension.
+      const comm::Comm& mc = grid.mode_comm(mode);
+      const auto partial = tensor::ttm(
+          x.local(), mode,
+          u.cref().block(x.local_offset(mode), 0, x.local_dim(mode), r),
+          la::Op::transpose);
+      const idx_t psize = partial.size();
+      std::vector<T> all(static_cast<std::size_t>(psize * mc.size()));
+      mc.allgatherv(partial.data(), all.data(),
+                    std::vector<idx_t>(mc.size(), psize));
+      const idx_t left = partial.left_size(mode);
+      const idx_t right = partial.right_size(mode);
+      const idx_t off = block_offset(r, mc.size(), mc.rank());
+      const idx_t len = block_size(r, mc.size(), mc.rank());
+      ASSERT_EQ(y.local().size(), left * len * right);
+      for (idx_t s = 0; s < right; ++s) {
+        for (idx_t a = 0; a < len; ++a) {
+          for (idx_t l = 0; l < left; ++l) {
+            const idx_t src = (s * r + off + a) * left + l;
+            T expect = T{};
+            for (int q = 0; q < mc.size(); ++q) {
+              expect += all[static_cast<std::size_t>(q * psize + src)];
+            }
+            const T got = y.local()[(s * len + a) * left + l];
+            EXPECT_TRUE(same_bits(got, expect))
+                << "mode " << mode << " slab " << s << " row " << a
+                << " fiber " << l << ": " << got << " vs " << expect;
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST_P(DistOpsGrids, TtmIsRankOrderSumOfLocalPartialsBitwise) {
+  check_ttm_is_rank_order_sum<float>(GetParam());
+  check_ttm_is_rank_order_sum<double>(GetParam());
+}
+
+template <typename T>
+void expect_same_bits(const la::Matrix<T>& got, const la::Matrix<T>& expect,
+                      const char* what, int mode) {
+  ASSERT_EQ(got.rows(), expect.rows());
+  ASSERT_EQ(got.cols(), expect.cols());
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                        static_cast<std::size_t>(got.size()) * sizeof(T)),
+            0)
+      << what << " at mode " << mode;
+}
+
+template <typename T>
+void check_undistributed_mode_kernels(const std::vector<int>& gdims,
+                                      const std::vector<idx_t>& dims) {
+  const int p = gdims[0] * gdims[1] * gdims[2];
+  for (int mode = 0; mode < 3; ++mode) {
+    if (gdims[mode] != 1) continue;
+    auto u = random_matrix<T>(dims[mode], 3, 990 + mode);
+    comm::Runtime::run(p, [&](comm::Comm& world) {
+      ProcessorGrid grid(world, gdims);
+      auto y = make_dist<T>(grid, dims);
+      auto g = dist_ttm(y, mode, u.cref());
+      // tensor::unfold materializes the unfolding entry by entry.
+      const la::Matrix<T> yu = tensor::unfold(y.local(), mode);
+      const la::Matrix<T> gu = tensor::unfold(g.local(), mode);
+
+      la::Matrix<T> gram_expect(dims[mode], dims[mode]);
+      la::syrk(T{1}, yu.cref(), T{0}, gram_expect.ref());
+      world.allreduce_sum(gram_expect.data(), gram_expect.size());
+      expect_same_bits(dist_mode_gram(y, mode), gram_expect, "gram", mode);
+
+      la::Matrix<T> z_expect(dims[mode], 3);
+      la::gemm(la::Op::none, la::Op::transpose, T{1}, yu.cref(), gu.cref(),
+               T{0}, z_expect.ref());
+      world.allreduce_sum(z_expect.data(), z_expect.size());
+      expect_same_bits(dist_contract_all_but_one(y, g, mode), z_expect,
+                       "contraction", mode);
+    });
+  }
+}
+
+TEST_P(DistOpsGrids, UndistributedModeGramAndContractionBitwise) {
+  // Small extents take the thin-row GEMM path in the reference contraction,
+  // the larger ones the packed path.
+  for (const std::vector<idx_t>& dims :
+       {std::vector<idx_t>{8, 7, 6}, std::vector<idx_t>{66, 5, 70}}) {
+    check_undistributed_mode_kernels<float>(GetParam(), dims);
+    check_undistributed_mode_kernels<double>(GetParam(), dims);
+  }
+}
+
 TEST(DistOps, RedistributeModePreservesGram) {
   // The redistributed columns partition the unfolding columns, so the sum
   // of local SYRKs equals the serial Gram — checked via dist_mode_gram for
@@ -294,7 +448,10 @@ TEST(DistOps, RedistributeColumnCountsSumToUnfolding) {
   comm::Runtime::run(4, [&](comm::Comm& world) {
     ProcessorGrid grid(world, {2, 2, 1});
     auto x = make_dist<double>(grid, dims);
-    for (int mode = 0; mode < 3; ++mode) {
+    // Mode 2 is undistributed: its kernels read the local block in place,
+    // and redistribute_mode refuses it (no collective runs first).
+    EXPECT_THROW((void)redistribute_mode(x, 2), precondition_error);
+    for (int mode = 0; mode < 2; ++mode) {
       auto cols = redistribute_mode(x, mode);
       EXPECT_EQ(cols.rows(), dims[mode]);
       const double total = grid.world().allreduce_scalar(
