@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,16 +69,13 @@ inline RunResult timed_run(
       [&](comm::Comm& world) {
         const std::function<void()> work = body(world);
         world.barrier();
-        std::optional<prof::ScopedRecorder> rec;
-        if (profile) {
-          traces[world.rank()].set_rank(world.rank());
-          rec.emplace(traces[world.rank()]);
-        }
-        std::optional<rahooi::metrics::ScopedRegistry> reg;
-        if (metrics) {
-          registries[world.rank()].set_rank(world.rank());
-          reg.emplace(registries[world.rank()]);
-        }
+        const int r = world.rank();
+        if (profile) traces[r].set_rank(r);
+        if (metrics) registries[r].set_rank(r);
+        const ScopedRankField<&RankContext::recorder> rec(
+            profile ? &traces[r] : nullptr);
+        const ScopedRankField<&RankContext::registry> reg(
+            metrics ? &registries[r] : nullptr);
         Stopwatch clock;
         work();
         world.barrier();

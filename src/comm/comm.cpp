@@ -5,14 +5,13 @@
 namespace rahooi::comm {
 
 Comm Comm::split(int color, int key) const {
-  prof::TraceSpan span("split");
-  CollectiveGuard guard(ctx_.get(), rank_, "split");
+  const CollectiveGuard guard(ctx_.get(), rank_, SchedOp::split);
   RAHOOI_REQUIRE(valid(), "split on an invalid communicator");
   const int p = size();
   if (p == 1) return *this;
 
   // color/key legitimately differ per rank; only the op kind is replicated.
-  ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::split, 0, -1, 0});
+  guard.check();
 
   // Publish (color, key) and collect everyone's.
   std::int64_t mine[2] = {color, key};

@@ -13,12 +13,14 @@
 // allreduce, binomial bcast/reduce). This is what the Table 2 reproduction
 // measures.
 
-// Fault tolerance (docs/ROBUSTNESS.md): every collective opens a
-// CollectiveGuard before its first rendezvous — park-registry bookkeeping
-// for the hang watchdog plus the fault-injection entry hook (transient
-// injected faults retried with bounded backoff) — and every blocking wait
-// underneath observes the world's sticky abort flag, so a dead rank releases
-// its peers via AbortedError instead of deadlocking them.
+// Instrumentation and fault tolerance (docs/ROBUSTNESS.md): every entry
+// point opens one CollectiveGuard before its first rendezvous — prof span,
+// park-registry bookkeeping for the hang watchdog, flight-recorder post,
+// and the fault-injection entry hook (transient injected faults retried
+// with bounded backoff) — and reports its byte figure once through
+// guard.done(). Every blocking wait underneath observes the world's sticky
+// abort flag, so a dead rank releases its peers via AbortedError instead
+// of deadlocking them.
 //
 // Schedule sanitizing (docs/STATIC_ANALYSIS.md): when the world's
 // comm_check flag is up (RunOptions::comm_check / RAHOOI_COMM_CHECK), every
@@ -34,12 +36,8 @@
 #include <vector>
 
 #include "comm/context.hpp"
-#include "comm/schedule_check.hpp"
+#include "comm/monitor.hpp"
 #include "common/contracts.hpp"
-#include "common/stats.hpp"
-#include "fault/fault.hpp"
-#include "metrics/metrics.hpp"
-#include "prof/trace.hpp"
 
 namespace rahooi::comm {
 
@@ -56,9 +54,8 @@ class Comm {
   bool valid() const { return ctx_ != nullptr; }
 
   void barrier() const {
-    prof::TraceSpan span("barrier");
-    CollectiveGuard guard(ctx_.get(), rank_, "barrier");
-    ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::barrier, 0, -1, 0});
+    const CollectiveGuard guard(ctx_.get(), rank_, SchedOp::barrier);
+    guard.check();
     ctx_->barrier_wait();
   }
 
@@ -73,14 +70,10 @@ class Comm {
   /// Root's buffer is copied to every rank.
   template <typename T>
   void bcast(T* data, idx_t n, int root) const {
-    prof::TraceSpan span("bcast");
-    CollectiveGuard guard(ctx_.get(), rank_, "bcast");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::bcast);
     RAHOOI_REQUIRE(root >= 0 && root < size(), "bcast: bad root");
     if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::bcast, sched_dtype_tag<T>(), root,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
+    guard.check(sched_dtype_tag<T>(), root, payload_of<T>(n));
     ctx_->post(rank_, SlotEntry{data, data, nullptr, 0});
     ctx_->barrier_wait();
     if (rank_ != root) {
@@ -88,25 +81,20 @@ class Comm {
       std::copy(src, src + n, data);
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    fault::inject_payload("bcast", guard.world_rank(), data, sizeof(T) * n);
-    stats::add_comm(CollectiveKind::bcast, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::bcast, bytes_of<T>(n));
+    guard.inject_payload(data, sizeof(T) * n);
+    guard.done(bytes_of<T>(n));
   }
 
   /// Element-wise sum of all ranks' `in` arrays lands in `out` on root.
   template <typename T>
   void reduce_sum(const T* in, T* out, idx_t n, int root) const {
-    prof::TraceSpan span("reduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "reduce");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::reduce);
     RAHOOI_REQUIRE(root >= 0 && root < size(), "reduce: bad root");
     if (size() == 1) {
       if (out != in) std::copy(in, in + n, out);
       return;
     }
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::reduce, sched_dtype_tag<T>(), root,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
+    guard.check(sched_dtype_tag<T>(), root, payload_of<T>(n));
     ctx_->post(rank_, SlotEntry{in, out, nullptr, 0});
     ctx_->barrier_wait();
     if (rank_ == root) {
@@ -118,8 +106,7 @@ class Comm {
       }
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    stats::add_comm(CollectiveKind::reduce, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::reduce, bytes_of<T>(n));
+    guard.done(bytes_of<T>(n));
   }
 
   /// In-place element-wise sum across all ranks; every rank gets the total.
@@ -132,31 +119,7 @@ class Comm {
   /// subsequent collectives.
   template <typename T>
   void allreduce_sum(T* data, idx_t n) const {
-    prof::TraceSpan span("allreduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "allreduce");
-    metrics::CollectiveTimer mtimer;
-    if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::allreduce, sched_dtype_tag<T>(), -1,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
-    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
-    ctx_->barrier_wait();
-    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
-                       static_cast<const T*>(ctx_->slot(0).in) + n);
-    for (int r = 1; r < size(); ++r) {
-      const T* src = static_cast<const T*>(ctx_->slot(r).in);
-      for (idx_t i = 0; i < n; ++i) acc[i] += src[i];
-    }
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    if (n != 0) std::copy(acc.begin(), acc.end(), data);
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    fault::inject_payload("allreduce", guard.world_rank(), data,
-                          sizeof(T) * n);
-    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
-    stats::add_comm(CollectiveKind::allreduce,
-                    2.0 * bytes_of<T>(n) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::allreduce,
-                  2.0 * bytes_of<T>(n) * (size() - 1) / size());
+    allreduce(data, n, SchedOp::allreduce, [](T a, T b) { return a + b; });
   }
 
   /// Convenience scalar allreduce.
@@ -172,30 +135,8 @@ class Comm {
   /// scale (dist/sketch.cpp) before an integer allreduce.
   template <typename T>
   void allreduce_max(T* data, idx_t n) const {
-    prof::TraceSpan span("allreduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "allreduce");
-    metrics::CollectiveTimer mtimer;
-    if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_,
-        SchedFingerprint{SchedOp::allreduce_max, sched_dtype_tag<T>(), -1,
-                         static_cast<std::uint64_t>(n) * sizeof(T)});
-    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
-    ctx_->barrier_wait();
-    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
-                       static_cast<const T*>(ctx_->slot(0).in) + n);
-    for (int r = 1; r < size(); ++r) {
-      const T* src = static_cast<const T*>(ctx_->slot(r).in);
-      for (idx_t i = 0; i < n; ++i) acc[i] = std::max(acc[i], src[i]);
-    }
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    if (n != 0) std::copy(acc.begin(), acc.end(), data);
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
-    stats::add_comm(CollectiveKind::allreduce,
-                    2.0 * bytes_of<T>(n) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::allreduce,
-                  2.0 * bytes_of<T>(n) * (size() - 1) / size());
+    allreduce(data, n, SchedOp::allreduce_max,
+              [](T a, T b) { return std::max(a, b); });
   }
 
   /// Sums all ranks' `in` arrays, then scatters the total. `in` is `blocks`
@@ -213,9 +154,7 @@ class Comm {
   void reduce_scatter_sum(const T* in, T* out,
                           const std::vector<idx_t>& counts,
                           idx_t blocks = 1) const {
-    prof::TraceSpan span("reduce_scatter");
-    CollectiveGuard guard(ctx_.get(), rank_, "reduce_scatter");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::reduce_scatter);
     RAHOOI_REQUIRE(static_cast<int>(counts.size()) == size(),
                    "reduce_scatter: counts size != communicator size");
     RAHOOI_REQUIRE(blocks >= 0, "reduce_scatter: negative block count");
@@ -231,11 +170,8 @@ class Comm {
     }
     // `counts` and `blocks` must be replicated, so the total byte count and
     // the block geometry are part of the schedule contract.
-    ctx_->schedule_check(
-        rank_,
-        SchedFingerprint{SchedOp::reduce_scatter, sched_dtype_tag<T>(), -1,
-                         static_cast<std::uint64_t>(total) * sizeof(T),
-                         static_cast<std::uint64_t>(blocks)});
+    guard.check(sched_dtype_tag<T>(), -1, payload_of<T>(total),
+                static_cast<std::uint64_t>(blocks));
     ctx_->post(rank_, SlotEntry{in, nullptr, nullptr, 0});
     ctx_->barrier_wait();
     // Sum through a small stack accumulator so the rank loop stays outside
@@ -257,10 +193,7 @@ class Comm {
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
     // Recursive halving: n(P-1)/P per rank on the full input length.
-    stats::add_comm(CollectiveKind::reduce_scatter,
-                    bytes_of<T>(total) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::reduce_scatter,
-                  bytes_of<T>(total) * (size() - 1) / size());
+    guard.done(bytes_of<T>(total) * (size() - 1) / size());
   }
 
   /// Concatenates all ranks' `in` arrays (rank r contributes counts[r]
@@ -268,23 +201,16 @@ class Comm {
   /// identical on all ranks.
   template <typename T>
   void allgatherv(const T* in, T* out, const std::vector<idx_t>& counts) const {
-    prof::TraceSpan span("allgatherv");
-    CollectiveGuard guard(ctx_.get(), rank_, "allgather");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::allgatherv);
     RAHOOI_REQUIRE(static_cast<int>(counts.size()) == size(),
                    "allgatherv: counts size != communicator size");
     if (size() == 1) {
       std::copy(in, in + counts[0], out);
       return;
     }
-    {
-      const idx_t total =
-          std::accumulate(counts.begin(), counts.end(), idx_t{0});
-      ctx_->schedule_check(
-          rank_,
-          SchedFingerprint{SchedOp::allgatherv, sched_dtype_tag<T>(), -1,
-                           static_cast<std::uint64_t>(total) * sizeof(T)});
-    }
+    guard.check(sched_dtype_tag<T>(), -1,
+                payload_of<T>(std::accumulate(counts.begin(), counts.end(),
+                                              idx_t{0})));
     ctx_->post(rank_, SlotEntry{in, nullptr, nullptr, 0});
     ctx_->barrier_wait();
     idx_t offset = 0;
@@ -297,8 +223,7 @@ class Comm {
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
     // Ring: each rank receives everyone else's contribution.
-    stats::add_comm(CollectiveKind::allgather, bytes_of<T>(received));
-    mtimer.record(CollectiveKind::allgather, bytes_of<T>(received));
+    guard.done(bytes_of<T>(received));
   }
 
   /// Equal-count allgather convenience: every rank contributes n elements.
@@ -314,17 +239,14 @@ class Comm {
   void alltoallv(const T* in, const std::vector<idx_t>& sdispls, T* out,
                  const std::vector<idx_t>& recvcounts,
                  const std::vector<idx_t>& rdispls) const {
-    prof::TraceSpan span("alltoallv");
-    CollectiveGuard guard(ctx_.get(), rank_, "alltoall");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::alltoallv);
     RAHOOI_REQUIRE(static_cast<int>(sdispls.size()) == size() &&
                        static_cast<int>(recvcounts.size()) == size() &&
                        static_cast<int>(rdispls.size()) == size(),
                    "alltoallv: argument arrays must have one entry per rank");
     // Per-rank counts may legitimately differ across ranks, so only the op
     // kind and dtype are part of the replicated schedule contract.
-    ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::alltoallv,
-                                                 sched_dtype_tag<T>(), -1, 0});
+    guard.check(sched_dtype_tag<T>());
     ctx_->post(rank_, SlotEntry{in, nullptr, sdispls.data(), 0});
     ctx_->barrier_wait();
     double off_rank_bytes = 0.0;
@@ -336,25 +258,20 @@ class Comm {
       if (s != rank_) off_rank_bytes += bytes_of<T>(recvcounts[s]);
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    stats::add_comm(CollectiveKind::alltoall, off_rank_bytes);
-    mtimer.record(CollectiveKind::alltoall, off_rank_bytes);
+    guard.done(off_rank_bytes);
   }
 
   /// Blocking tagged point-to-point.
   template <typename T>
   void send(const T* data, idx_t n, int dest, int tag) const {
-    prof::TraceSpan span("send");
-    CollectiveGuard guard(ctx_.get(), rank_, "send");
-    metrics::CollectiveTimer mtimer;
+    CollectiveGuard guard(ctx_.get(), rank_, SchedOp::send);
     ctx_->send_bytes(dest, rank_, tag, data, sizeof(T) * n);
-    stats::add_comm(CollectiveKind::point_to_point, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::point_to_point, bytes_of<T>(n));
+    guard.done(bytes_of<T>(n));
   }
 
   template <typename T>
   void recv(T* data, idx_t n, int source, int tag) const {
-    prof::TraceSpan span("recv");
-    CollectiveGuard guard(ctx_.get(), rank_, "recv");
+    const CollectiveGuard guard(ctx_.get(), rank_, SchedOp::recv);
     ctx_->recv_bytes(rank_, source, tag, data, sizeof(T) * n);
   }
 
@@ -363,9 +280,37 @@ class Comm {
   Comm split(int color, int key) const;
 
  private:
+  /// Shared body of the allreduces: every rank folds the posted inputs
+  /// with `op` in canonical rank order, so all ranks get identical results.
+  /// Only the sum carries the payload fault hook.
+  template <typename T, typename Op>
+  void allreduce(T* data, idx_t n, SchedOp which, Op op) const {
+    CollectiveGuard guard(ctx_.get(), rank_, which);
+    if (size() == 1) return;
+    guard.check(sched_dtype_tag<T>(), -1, payload_of<T>(n));
+    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
+    ctx_->barrier_wait();
+    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
+                       static_cast<const T*>(ctx_->slot(0).in) + n);
+    for (int r = 1; r < size(); ++r) {
+      const T* src = static_cast<const T*>(ctx_->slot(r).in);
+      for (idx_t i = 0; i < n; ++i) acc[i] = op(acc[i], src[i]);
+    }
+    ctx_->barrier_wait(Context::BarrierPhase::exit);
+    if (n != 0) std::copy(acc.begin(), acc.end(), data);
+    ctx_->barrier_wait(Context::BarrierPhase::exit);
+    if (which == SchedOp::allreduce) guard.inject_payload(data, sizeof(T) * n);
+    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
+    guard.done(2.0 * bytes_of<T>(n) * (size() - 1) / size());
+  }
+
   template <typename T>
   static double bytes_of(idx_t n) {
     return static_cast<double>(n) * sizeof(T);
+  }
+  template <typename T>
+  static std::uint64_t payload_of(idx_t n) {
+    return static_cast<std::uint64_t>(n) * sizeof(T);
   }
 
   std::shared_ptr<Context> ctx_;

@@ -39,7 +39,7 @@ void Context::watchdog_expired(const char* where) {
   std::string report = "collective watchdog expired after " +
                        std::to_string(monitor_->timeout()) + "s in " + where +
                        "; world state:\n" + monitor_->park_report();
-  const int rank = bound_world_rank();
+  const int rank = rank_context().world_rank;
   // First raiser wins; a concurrent abort (another watchdog, a rank death)
   // makes this a plain AbortedError instead.
   if (monitor_->raise_abort(rank, report)) {

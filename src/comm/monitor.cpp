@@ -1,21 +1,14 @@
 #include "comm/monitor.hpp"
 
+#include <exception>
 #include <sstream>
 
 #include "comm/context.hpp"
 #include "common/contracts.hpp"
-#include "common/stats.hpp"
 #include "fault/fault.hpp"
-#include "prof/trace.hpp"
+#include "metrics/metrics.hpp"
 
 namespace rahooi::comm {
-
-namespace {
-
-thread_local Monitor* tls_monitor = nullptr;
-thread_local int tls_world_rank = -1;
-
-}  // namespace
 
 Monitor::Monitor(int world_size)
     : world_size_(world_size),
@@ -41,16 +34,6 @@ bool Monitor::raise_abort(int origin_rank, const std::string& what) {
   }
   wake_all();
   return true;
-}
-
-int Monitor::abort_origin() const {
-  std::lock_guard lock(mutex_);
-  return origin_rank_;
-}
-
-std::string Monitor::abort_what() const {
-  std::lock_guard lock(mutex_);
-  return what_;
 }
 
 void Monitor::throw_aborted() const {
@@ -139,45 +122,62 @@ void Monitor::wake_all() {
   }
 }
 
-ScopedRankBinding::ScopedRankBinding(Monitor& monitor, int world_rank) {
-  tls_monitor = &monitor;
-  tls_world_rank = world_rank;
-}
-
-ScopedRankBinding::~ScopedRankBinding() {
-  tls_monitor = nullptr;
-  tls_world_rank = -1;
-}
-
-Monitor* bound_monitor() { return tls_monitor; }
-
-int bound_world_rank() { return tls_world_rank; }
-
-CollectiveGuard::CollectiveGuard(const Context* ctx, int comm_rank,
-                                 const char* op) {
-  world_rank_ = tls_world_rank >= 0 ? tls_world_rank : comm_rank;
-  mon_ = tls_monitor != nullptr
-             ? tls_monitor
+CollectiveGuard::CollectiveGuard(Context* ctx, int comm_rank, SchedOp op)
+    : span_(collective_desc(op).span),
+      rc_(rank_context()),
+      desc_(collective_desc(op)),
+      op_(op),
+      ctx_(ctx),
+      comm_rank_(comm_rank),
+      uncaught_(std::uncaught_exceptions()) {
+  world_rank_ = rc_.world_rank >= 0 ? rc_.world_rank : comm_rank;
+  mon_ = rc_.monitor != nullptr
+             ? rc_.monitor
              : (ctx != nullptr ? ctx->monitor().get() : nullptr);
   if (mon_ != nullptr) {
     // Copy the prof span path only when the watchdog is armed: that is the
     // only consumer, and the copy allocates.
     std::string path;
-    if (mon_->timeout() > 0.0) {
-      if (const prof::Recorder* rec = prof::recorder()) {
-        path = std::string(rec->current_path());
-      }
+    if (mon_->timeout() > 0.0 && rc_.recorder != nullptr) {
+      path = std::string(rc_.recorder->current_path());
     }
-    mon_->park(world_rank_, op, std::move(path));
+    mon_->park(world_rank_, desc_.site, std::move(path));
   }
-  if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-    fr->record(obs::RecordKind::collective_post, op);
+  if (rc_.flight != nullptr) {
+    rc_.flight->record(obs::RecordKind::collective_post, desc_.site);
   }
-  fault::with_retry([&] { fault::inject_point(op, world_rank_); });
+  fault::with_retry([&] { fault::inject_point(desc_.site, world_rank_); });
+  if (rc_.registry != nullptr) t0_ = stats::now();
 }
 
 CollectiveGuard::~CollectiveGuard() {
   if (mon_ != nullptr) mon_->unpark(world_rank_);
+  if (!done_ && rc_.flight != nullptr &&
+      std::uncaught_exceptions() == uncaught_) {
+    rc_.flight->record(obs::RecordKind::collective_complete, desc_.site);
+  }
+}
+
+void CollectiveGuard::check(std::uint32_t dtype, int root,
+                            std::uint64_t bytes, std::uint64_t blocks) const {
+  ctx_->schedule_check(comm_rank_,
+                       SchedFingerprint{op_, dtype, root, bytes, blocks});
+}
+
+void CollectiveGuard::inject_payload(void* data, std::size_t bytes) const {
+  fault::inject_payload(desc_.site, world_rank_, data, bytes);
+}
+
+void CollectiveGuard::done(double bytes) {
+  done_ = true;
+  stats::add_comm(desc_.kind, bytes);
+  if (rc_.registry != nullptr) {
+    rc_.registry->record_collective(desc_.kind, bytes, stats::now() - t0_);
+  }
+  if (rc_.flight != nullptr) {
+    rc_.flight->record(obs::RecordKind::collective_complete, desc_.site,
+                       bytes);
+  }
 }
 
 }  // namespace rahooi::comm

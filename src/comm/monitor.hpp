@@ -28,7 +28,9 @@
 #include <vector>
 
 #include "comm/errors.hpp"
+#include "comm/schedule_check.hpp"
 #include "obs/flight_recorder.hpp"
+#include "prof/trace.hpp"
 
 namespace rahooi::comm {
 
@@ -62,8 +64,6 @@ class Monitor {
   bool raise_abort(int origin_rank, const std::string& what);
 
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-  int abort_origin() const;
-  std::string abort_what() const;
 
   /// Throws AbortedError carrying the recorded origin. Pre: aborted().
   [[noreturn]] void throw_aborted() const;
@@ -139,44 +139,53 @@ class Monitor {
   std::vector<const obs::FlightRecorder*> recorders_;
 };
 
-/// Binds the calling thread to its (monitor, world rank) for the lifetime of
-/// the scope — installed by Runtime::run on each rank thread, read by
-/// CollectiveGuard for park-registry bookkeeping and fault-site matching.
-class ScopedRankBinding {
- public:
-  ScopedRankBinding(Monitor& monitor, int world_rank);
-  ~ScopedRankBinding();
-
-  ScopedRankBinding(const ScopedRankBinding&) = delete;
-  ScopedRankBinding& operator=(const ScopedRankBinding&) = delete;
-};
-
-/// The calling thread's bound monitor / world rank (nullptr / -1 when the
-/// thread is not a Runtime rank thread).
-Monitor* bound_monitor();
-int bound_world_rank();
-
-/// RAII entry guard every Comm collective opens before its first rendezvous:
-/// registers the rank in the park registry (with the prof span path when a
-/// Recorder is installed and the watchdog is armed) and runs the
-/// fault-injection entry hook — transient injected CommErrors are retried
-/// here with bounded exponential backoff; exhaustion lets the CommError
-/// propagate and kill the rank.
+/// The one scope every Comm entry point opens before its first rendezvous.
+/// Its row of the collective table names everything it does, in order:
+///  * opens the prof span (so the span encloses the whole collective);
+///  * registers the rank in the park registry (with the prof span path when
+///    a Recorder is installed and the watchdog is armed);
+///  * records the flight-recorder post;
+///  * runs the fault-injection entry hook — transient injected CommErrors
+///    are retried here with bounded exponential backoff; exhaustion lets the
+///    CommError propagate and kill the rank.
+/// done(bytes) then counts the call once, feeding Stats, the metrics
+/// histograms and the flight-recorder complete record from one figure. A
+/// collective that returns normally without counting (barrier, split, recv,
+/// every P = 1 early return) records a complete with 0 bytes on
+/// destruction, so every post has its complete.
 class CollectiveGuard {
  public:
-  CollectiveGuard(const Context* ctx, int comm_rank, const char* op);
+  CollectiveGuard(Context* ctx, int comm_rank, SchedOp op);
   ~CollectiveGuard();
 
   CollectiveGuard(const CollectiveGuard&) = delete;
   CollectiveGuard& operator=(const CollectiveGuard&) = delete;
 
-  /// World rank used for fault matching (falls back to the communicator
-  /// rank when the thread is not bound to a Runtime world).
-  int world_rank() const { return world_rank_; }
+  /// Cross-validates this call's replicated arguments (schedule_check.hpp);
+  /// fields that are not part of the op's contract stay zero / -1.
+  void check(std::uint32_t dtype = 0, int root = -1, std::uint64_t bytes = 0,
+             std::uint64_t blocks = 0) const;
+
+  /// Payload fault hook (bitflip rules) at this collective's site.
+  void inject_payload(void* data, std::size_t bytes) const;
+
+  /// Counts the call: `bytes` sent by this rank, one message.
+  void done(double bytes);
 
  private:
+  prof::TraceSpan span_;  ///< first member: opened first, closed last
+  RankContext& rc_;
+  const CollectiveDesc& desc_;
+  SchedOp op_;
+  Context* ctx_;
+  int comm_rank_;
   Monitor* mon_ = nullptr;
+  /// World rank for the park registry and fault matching (the
+  /// communicator rank off a Runtime rank thread).
   int world_rank_ = -1;
+  int uncaught_;        ///< std::uncaught_exceptions() at entry
+  bool done_ = false;
+  double t0_ = 0.0;     ///< entry time (metrics on only)
 };
 
 }  // namespace rahooi::comm

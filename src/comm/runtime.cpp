@@ -3,13 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "fault/fault.hpp"
-#include "obs/flight_recorder.hpp"
+#include "metrics/metrics.hpp"
 
 namespace rahooi::comm {
 
@@ -95,33 +93,35 @@ void Runtime::run(int p, const std::function<void(Comm&)>& fn,
   std::vector<std::thread> threads;
   threads.reserve(p);
 
+  // One RankContext per rank thread carries every per-rank sink: stats,
+  // monitor binding, flight recorder, trace context, and the optional prof
+  // recorder, metrics registry and world-scoped fault plan.
+  std::vector<RankContext> contexts(p);
   for (int r = 0; r < p; ++r) {
     flight_store[r].set_rank(r);
     flight_store[r].set_trace_id(options.trace_id);
     monitor->set_flight_recorder(r, &flight_store[r]);
+    RankContext& rc = contexts[r];
+    rc.stats = &stats_store[r];
+    rc.monitor = monitor.get();
+    rc.world_rank = r;
+    rc.fault_plan = options.fault_plan;
+    rc.flight = &flight_store[r];
+    rc.trace_id = options.trace_id;
+    if (rank_traces != nullptr) {
+      trace_store[r].set_rank(r);
+      trace_store[r].set_trace_id(options.trace_id);
+      rc.recorder = &trace_store[r];
+    }
+    if (options.rank_metrics != nullptr) {
+      metrics_store[r].set_rank(r);
+      rc.registry = &metrics_store[r];
+    }
   }
 
   for (int r = 0; r < p; ++r) {
     threads.emplace_back([&, r] {
-      ScopedStats tracked(stats_store[r]);
-      ScopedRankBinding bound(*monitor, r);
-      obs::ScopedFlightRecorder flight(flight_store[r]);
-      obs::ScopedTraceContext traced_as(options.trace_id);
-      std::optional<prof::ScopedRecorder> traced;
-      if (rank_traces != nullptr) {
-        trace_store[r].set_rank(r);
-        trace_store[r].set_trace_id(options.trace_id);
-        traced.emplace(trace_store[r]);
-      }
-      std::optional<metrics::ScopedRegistry> metered;
-      if (options.rank_metrics != nullptr) {
-        metrics_store[r].set_rank(r);
-        metered.emplace(metrics_store[r]);
-      }
-      std::optional<fault::ScopedThreadPlan> faulted;
-      if (options.fault_plan != nullptr) {
-        faulted.emplace(*options.fault_plan);
-      }
+      const ScopedRankContext bound(contexts[r]);
       Comm world(ctx, r);
       try {
         fn(world);

@@ -44,19 +44,18 @@ struct RunOptions {
   std::vector<metrics::Registry>* rank_metrics = nullptr;
 
   /// When non-null, a fault plan scoped to *this world*: each rank thread
-  /// gets it installed via fault::ScopedThreadPlan, shadowing any
-  /// process-wide ScopedPlan, so concurrent worlds with different plans
-  /// never cross-inject (the serve scheduler's per-job isolation,
-  /// DESIGN.md §13). The Plan handle is shared across the rank threads —
-  /// rule hit counters span the world and persist across runs reusing the
-  /// same Plan (retry attempts see prior attempts' counts). The pointee
-  /// must outlive run().
+  /// gets it in its RankContext, shadowing any process-wide ScopedPlan, so
+  /// concurrent worlds with different plans never cross-inject (the serve
+  /// scheduler's per-job isolation, DESIGN.md §13). The Plan handle is
+  /// shared across the rank threads — rule hit counters span the world and
+  /// persist across runs reusing the same Plan (retry attempts see prior
+  /// attempts' counts). The pointee must outlive run().
   const fault::Plan* fault_plan = nullptr;
 
   /// Trace context for this world (docs/OBSERVABILITY.md). Nonzero: every
-  /// rank thread runs under obs::ScopedTraceContext(trace_id), so each
-  /// metrics event, prof recorder, solver report, and flight-recorder
-  /// timeline produced inside carries the id — the serve scheduler mints
+  /// rank thread's RankContext carries trace_id, so each metrics event,
+  /// prof recorder, solver report, and flight-recorder timeline produced
+  /// inside carries the id — the serve scheduler mints
   /// one per job and joins serve-level and rank-level telemetry with it.
   /// 0 (default): no trace context.
   std::uint64_t trace_id = 0;

@@ -42,21 +42,6 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-const char* sched_op_name(SchedOp op) {
-  switch (op) {
-    case SchedOp::barrier: return "barrier";
-    case SchedOp::bcast: return "bcast";
-    case SchedOp::reduce: return "reduce";
-    case SchedOp::allreduce: return "allreduce";
-    case SchedOp::allreduce_max: return "allreduce_max";
-    case SchedOp::reduce_scatter: return "reduce_scatter";
-    case SchedOp::allgatherv: return "allgatherv";
-    case SchedOp::alltoallv: return "alltoallv";
-    case SchedOp::split: return "split";
-  }
-  return "?";
-}
-
 std::string sched_dtype_name(std::uint32_t tag) {
   if (tag == 0) return "-";
   const char kind = (tag & 0x100u) != 0 ? 'f' : ((tag & 0x200u) != 0 ? 'i' : 'u');
@@ -78,7 +63,7 @@ std::string ScheduleChecker::divergence_report(int rank_a, int rank_b) const {
     if (s.world_rank >= 0 && s.world_rank != r) {
       os << " (world rank " << s.world_rank << ")";
     }
-    os << ": call #" << s.calls << " " << sched_op_name(s.fp.op)
+    os << ": call #" << s.calls << " " << collective_desc(s.fp.op).name
        << "(dtype=" << sched_dtype_name(s.fp.dtype);
     if (s.fp.root >= 0) os << ", root=" << s.fp.root;
     if (s.fp.bytes > 0) os << ", bytes=" << s.fp.bytes;
@@ -108,7 +93,7 @@ void ScheduleChecker::check(Context& ctx, int comm_rank,
   mine.fp = fp;
   mine.hash = chain(mine.hash, fp);
   ++mine.calls;
-  mine.world_rank = bound_world_rank();
+  mine.world_rank = rank_context().world_rank;
   mine.path.clear();
   if (const prof::Recorder* rec = prof::recorder()) {
     mine.path = std::string(rec->current_path());

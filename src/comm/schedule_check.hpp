@@ -22,18 +22,23 @@
 // one slot write plus two extra barriers per collective — strictly a
 // debugging/CI mode.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace rahooi::comm {
 
 class Context;
 
-/// Collective entry points the sanitizer distinguishes. Tagged point-to-point
-/// send/recv are deliberately not fingerprinted: they involve only two ranks,
-/// so a communicator-wide rendezvous on them would itself deadlock.
+/// Comm entry points, one per row of the collective table below. Tagged
+/// point-to-point send/recv are deliberately never fingerprinted: they
+/// involve only two ranks, so a communicator-wide rendezvous on them would
+/// itself deadlock.
 enum class SchedOp : std::uint8_t {
   barrier,
   bcast,
@@ -44,9 +49,43 @@ enum class SchedOp : std::uint8_t {
   allgatherv,
   alltoallv,
   split,
+  send,
+  recv,
+  count_
 };
 
-const char* sched_op_name(SchedOp op);
+constexpr std::size_t kSchedOpCount = static_cast<std::size_t>(SchedOp::count_);
+
+/// One row of the collective table: every name and accounting slot a Comm
+/// entry point reports under, read by comm::CollectiveGuard.
+struct CollectiveDesc {
+  const char* name;  ///< schedule-sanitizer report name (unique per row)
+  const char* span;  ///< prof::TraceSpan name
+  const char* site;  ///< fault-injection site and flight-recorder op
+  /// Stats/metrics slot; count_ = never counted (barrier and split move no
+  /// payload; p2p bytes are counted once, by the sender).
+  CollectiveKind kind;
+};
+
+/// The collective table, indexed by SchedOp.
+inline constexpr std::array<CollectiveDesc, kSchedOpCount> kCollectiveTable{{
+    {"barrier", "barrier", "barrier", CollectiveKind::count_},
+    {"bcast", "bcast", "bcast", CollectiveKind::bcast},
+    {"reduce", "reduce", "reduce", CollectiveKind::reduce},
+    {"allreduce", "allreduce", "allreduce", CollectiveKind::allreduce},
+    {"allreduce_max", "allreduce", "allreduce", CollectiveKind::allreduce},
+    {"reduce_scatter", "reduce_scatter", "reduce_scatter",
+     CollectiveKind::reduce_scatter},
+    {"allgatherv", "allgatherv", "allgather", CollectiveKind::allgather},
+    {"alltoallv", "alltoallv", "alltoall", CollectiveKind::alltoall},
+    {"split", "split", "split", CollectiveKind::count_},
+    {"send", "send", "send", CollectiveKind::point_to_point},
+    {"recv", "recv", "recv", CollectiveKind::count_},
+}};
+
+constexpr const CollectiveDesc& collective_desc(SchedOp op) {
+  return kCollectiveTable[static_cast<std::size_t>(op)];
+}
 
 /// Packed element-type tag: size byte plus float/signed flags. The same T
 /// yields the same tag on every rank; distinct fundamental types used by the

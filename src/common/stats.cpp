@@ -1,49 +1,38 @@
 #include "common/stats.hpp"
 
 #include <chrono>
+#include <iterator>
 #include <numeric>
-#include <vector>
 
 namespace rahooi {
 
 namespace {
 
-thread_local Stats* tls_stats = nullptr;
-thread_local Phase tls_phase = Phase::other;
-
-// Open phase-timing frames on this thread; each entry is the wall time
-// consumed by *nested* frames, subtracted on pop so attribution is
-// innermost-wins (see PhaseTimer's class comment).
-thread_local std::vector<double> tls_phase_frames;
+constinit thread_local RankContext t_rank_context;
 
 }  // namespace
 
+// Out of line on purpose: with the accessor inlined, GCC 12 under
+// -fsanitize=address,undefined miscompiles UBSan's null check of the
+// thread-local address at some call sites (a branch on stale flags) and
+// reports a null access that cannot happen.
+RankContext& rank_context() { return t_rank_context; }
+
 const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::ttm: return "ttm";
-    case Phase::gram: return "gram";
-    case Phase::evd: return "evd";
-    case Phase::qr: return "qr";
-    case Phase::contraction: return "contraction";
-    case Phase::core_analysis: return "core_analysis";
-    case Phase::other: return "other";
-    case Phase::count_: break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "ttm", "gram", "evd", "qr", "contraction", "core_analysis", "other"};
+  static_assert(std::size(kNames) == kPhaseCount);
+  const auto i = static_cast<std::size_t>(p);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* collective_name(CollectiveKind k) {
-  switch (k) {
-    case CollectiveKind::bcast: return "bcast";
-    case CollectiveKind::reduce: return "reduce";
-    case CollectiveKind::allreduce: return "allreduce";
-    case CollectiveKind::reduce_scatter: return "reduce_scatter";
-    case CollectiveKind::allgather: return "allgather";
-    case CollectiveKind::alltoall: return "alltoall";
-    case CollectiveKind::point_to_point: return "p2p";
-    case CollectiveKind::count_: break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "bcast", "reduce", "allreduce", "reduce_scatter", "allgather",
+      "alltoall", "p2p"};
+  static_assert(std::size(kNames) == kCollectiveCount);
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 double Stats::total_flops() const {
@@ -82,41 +71,19 @@ Stats& Stats::operator+=(const Stats& o) {
 
 void Stats::reset() { *this = Stats{}; }
 
-ScopedStats::ScopedStats(Stats& s) : prev_(tls_stats) { tls_stats = &s; }
-ScopedStats::~ScopedStats() { tls_stats = prev_; }
-
-PhaseScope::PhaseScope(Phase p) : prev_(tls_phase) { tls_phase = p; }
-PhaseScope::~PhaseScope() { tls_phase = prev_; }
-
-PhaseTimer::PhaseTimer(Phase p) : scope_(p), phase_(p) {
-  stats::phase_frame_push();
-  start_ = stats::now();
-}
-
-PhaseTimer::~PhaseTimer() {
-  const double self = stats::phase_frame_pop(stats::now() - start_);
-  if (Stats* s = stats::current()) {
-    s->seconds[static_cast<int>(phase_)] += self;
-  }
-}
-
 namespace stats {
 
-Stats* current() { return tls_stats; }
-
-Phase current_phase() { return tls_phase; }
-
 void add_flops(double n) {
-  if (tls_stats != nullptr) {
-    tls_stats->flops[static_cast<int>(tls_phase)] += n;
-  }
+  const RankContext& rc = rank_context();
+  if (rc.stats != nullptr) rc.stats->flops[static_cast<int>(rc.phase)] += n;
 }
 
 void add_comm(CollectiveKind k, double bytes) {
-  if (tls_stats != nullptr) {
-    tls_stats->comm_bytes[static_cast<int>(k)] += bytes;
-    tls_stats->comm_bytes_by_phase[static_cast<int>(tls_phase)] += bytes;
-    tls_stats->messages[static_cast<int>(k)] += 1;
+  const RankContext& rc = rank_context();
+  if (rc.stats != nullptr) {
+    rc.stats->comm_bytes[static_cast<int>(k)] += bytes;
+    rc.stats->comm_bytes_by_phase[static_cast<int>(rc.phase)] += bytes;
+    rc.stats->messages[static_cast<int>(k)] += 1;
   }
 }
 
@@ -128,24 +95,6 @@ double now() {
   static_assert(clock::is_steady, "timing must use a monotonic clock");
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
-}
-
-void phase_frame_push() { tls_phase_frames.push_back(0.0); }
-
-double phase_frame_pop(double dur) {
-  double nested = 0.0;
-  if (!tls_phase_frames.empty()) {
-    nested = tls_phase_frames.back();
-    tls_phase_frames.pop_back();
-  }
-  if (!tls_phase_frames.empty()) tls_phase_frames.back() += dur;
-  return dur > nested ? dur - nested : 0.0;
-}
-
-Phase swap_phase(Phase p) {
-  const Phase prev = tls_phase;
-  tls_phase = p;
-  return prev;
 }
 
 }  // namespace stats

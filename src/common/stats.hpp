@@ -8,16 +8,36 @@
 // and feed them into the machine model that extrapolates strong scaling
 // beyond the core count available on this machine.
 //
-// Counters are per-thread (each simulated rank is a thread), installed via
-// RAII. A kernel run outside any installed Stats object is simply not
-// counted, so instrumentation adds no overhead to untracked code paths.
+// Counters are per-thread (each simulated rank is a thread), reached through
+// the thread's RankContext and installed via RAII. A kernel run outside any
+// installed Stats object is simply not counted, so instrumentation adds no
+// overhead to untracked code paths.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace rahooi {
+
+namespace comm {
+class Monitor;
+}  // namespace comm
+namespace fault {
+class Plan;
+}  // namespace fault
+namespace metrics {
+class Registry;
+enum class MemScope : int;
+}  // namespace metrics
+namespace obs {
+class FlightRecorder;
+}  // namespace obs
+namespace prof {
+class Recorder;
+}  // namespace prof
 
 /// Algorithmic phase a flop or message is attributed to. The split mirrors
 /// the running-time breakdowns of Figs. 3, 5, 7, 9 in the paper.
@@ -74,7 +94,8 @@ struct Stats {
   /// model).
   std::array<std::uint64_t, kCollectiveCount> messages{};
 
-  /// Wall seconds attributed per phase (filled by PhaseTimer scopes).
+  /// Wall seconds attributed per phase (filled by phase-tagged
+  /// prof::TraceSpan scopes).
   std::array<double, kPhaseCount> seconds{};
 
   double total_flops() const;
@@ -93,63 +114,86 @@ struct Stats {
   void reset();
 };
 
+// ---------------------------------------------------------------------------
+// Per-rank context
+// ---------------------------------------------------------------------------
+
+/// Everything the instrumentation layer knows about the calling thread, in
+/// one thread-local struct: Runtime::run fills one per rank thread and
+/// installs it with a single ScopedRankContext, and every instrument site
+/// (kernel flop counts, collectives, spans, allocator tags, fault hooks)
+/// starts with one load of it. Null members mean "not installed": the site
+/// then does nothing beyond that load and a branch.
+struct RankContext {
+  Stats* stats = nullptr;        ///< flop/byte totals (ScopedStats)
+  Phase phase = Phase::other;    ///< attribution phase (tagged TraceSpan)
+  /// Nested-time accumulator of the innermost open phase-tagged TraceSpan
+  /// (innermost-wins phase seconds, see prof/trace.hpp); nullptr when none.
+  double* phase_frame = nullptr;
+  comm::Monitor* monitor = nullptr;  ///< world health monitor (rank threads)
+  int world_rank = -1;               ///< world rank (-1 off a rank thread)
+  /// Fault plan scoped to this thread's world; shadows the process-wide
+  /// fault::ScopedPlan (RunOptions::fault_plan). Must outlive the context.
+  const fault::Plan* fault_plan = nullptr;
+  prof::Recorder* recorder = nullptr;      ///< span sink (ScopedRecorder)
+  metrics::Registry* registry = nullptr;   ///< metrics (ScopedRegistry)
+  metrics::MemScope mem_scope{};           ///< allocation scope (tensor)
+  obs::FlightRecorder* flight = nullptr;   ///< flight recorder ring
+  std::uint64_t trace_id = 0;              ///< trace context (0 = none)
+};
+
+/// The calling thread's context (one thread-local load).
+RankContext& rank_context();
+
+/// Installs `ctx` as the calling thread's whole context for the lifetime of
+/// the scope, restoring the previous one on destruction — Runtime::run's
+/// one scope per rank thread.
+class ScopedRankContext {
+ public:
+  explicit ScopedRankContext(const RankContext& ctx)
+      : prev_(std::exchange(rank_context(), ctx)) {}
+  ~ScopedRankContext() { rank_context() = prev_; }
+
+  ScopedRankContext(const ScopedRankContext&) = delete;
+  ScopedRankContext& operator=(const ScopedRankContext&) = delete;
+
+ private:
+  RankContext prev_;
+};
+
+/// Sets one member of the calling thread's context for the lifetime of the
+/// scope and restores it on destruction; the named setters (ScopedStats,
+/// prof::ScopedRecorder, metrics::ScopedRegistry, metrics::MemScopeGuard,
+/// obs::ScopedFlightRecorder) are instances. Nesting installs the innermost
+/// value.
+template <auto Field>
+class ScopedRankField {
+  using Value =
+      std::remove_reference_t<decltype(std::declval<RankContext&>().*Field)>;
+
+ public:
+  explicit ScopedRankField(Value v)
+      : prev_(std::exchange(rank_context().*Field, v)) {}
+  ~ScopedRankField() { rank_context().*Field = prev_; }
+
+  ScopedRankField(const ScopedRankField&) = delete;
+  ScopedRankField& operator=(const ScopedRankField&) = delete;
+
+ private:
+  Value prev_;
+};
+
 /// Installs `s` as the current thread's collection target for the lifetime
 /// of the scope. Nesting installs the innermost target.
-class ScopedStats {
+class ScopedStats : ScopedRankField<&RankContext::stats> {
  public:
-  explicit ScopedStats(Stats& s);
-  ~ScopedStats();
-
-  ScopedStats(const ScopedStats&) = delete;
-  ScopedStats& operator=(const ScopedStats&) = delete;
-
- private:
-  Stats* prev_;
-};
-
-/// Sets the phase that subsequent kernel flops/bytes on this thread are
-/// attributed to, restoring the previous phase on destruction.
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase p);
-  ~PhaseScope();
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Phase prev_;
-};
-
-/// Accumulates wall time into the current Stats' per-phase seconds and sets
-/// the attribution phase, i.e. PhaseScope plus timing.
-///
-/// Attribution is *innermost-wins*: when phase-timed scopes nest (e.g. an
-/// EVD timer inside a Gram timer, or prof::TraceSpan regions that carry a
-/// Phase tag), each scope contributes its duration minus the time spent in
-/// nested phase-timed scopes, so summing Stats::seconds never double-counts
-/// and the total equals the outermost scope's wall time.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase p);
-  ~PhaseTimer();
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseScope scope_;
-  Phase phase_;
-  double start_;
+  explicit ScopedStats(Stats& s) : ScopedRankField(&s) {}
 };
 
 namespace stats {
 
 /// The current thread's collection target, or nullptr.
-Stats* current();
-
-/// Currently active attribution phase for this thread.
-Phase current_phase();
+inline Stats* current() { return rank_context().stats; }
 
 /// Record `n` flops against the active phase (no-op when untracked).
 void add_flops(double n);
@@ -158,24 +202,12 @@ void add_flops(double n);
 void add_comm(CollectiveKind k, double bytes);
 
 /// Monotonic clock in seconds (shared by all timing in the library —
-/// Stopwatch, PhaseTimer, prof::TraceSpan). Backed by steady_clock, so
-/// elapsed times can never go negative under wall-clock adjustment, and
-/// the epoch is process-wide: timestamps taken on different rank threads
-/// are directly comparable (the Chrome-trace lanes rely on this).
+/// Stopwatch, prof::TraceSpan, the collective scope). Backed by
+/// steady_clock, so elapsed times can never go negative under wall-clock
+/// adjustment, and the epoch is process-wide: timestamps taken on different
+/// rank threads are directly comparable (the Chrome-trace lanes rely on
+/// this).
 double now();
-
-/// Internal plumbing for innermost-wins phase-time attribution, shared by
-/// PhaseTimer and phase-tagged prof::TraceSpan. phase_frame_push() opens a
-/// timing frame on this thread; phase_frame_pop(dur) closes it, charges
-/// `dur` to the parent frame, and returns the frame's self time (`dur`
-/// minus time consumed by nested frames, clamped at 0).
-void phase_frame_push();
-double phase_frame_pop(double dur);
-
-/// Sets this thread's attribution phase, returning the previous one
-/// (the non-RAII primitive under PhaseScope; prof::TraceSpan uses it to
-/// avoid holding an optional scope).
-Phase swap_phase(Phase p);
 
 }  // namespace stats
 

@@ -1,7 +1,6 @@
 #include "core/hooi.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "comm/monitor.hpp"
 #include "common/rng.hpp"
@@ -291,18 +290,6 @@ dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
              : sweep_direct(x, factors, ranks, options, sweep_index, report);
 }
 
-namespace {
-
-/// World rank for fault-site matching: the Runtime thread binding when
-/// present (rank threads), else the communicator rank (serial API).
-template <typename T>
-int fault_rank_of(const dist::DistTensor<T>& x) {
-  const int bound = comm::bound_world_rank();
-  return bound >= 0 ? bound : x.grid().world().rank();
-}
-
-}  // namespace
-
 template <typename T>
 HooiResult<T> hooi(const dist::DistTensor<T>& x,
                    const std::vector<idx_t>& ranks,
@@ -313,16 +300,17 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
                                             1000.0);
   }
   HooiResult<T> out;
-  std::optional<prof::ScopedRecorder> installed;
+  // Solve-owned sinks when asked for and the caller installed none.
   if (options.profile && prof::recorder() == nullptr) {
     out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-    installed.emplace(*out.trace);
   }
-  std::optional<metrics::ScopedRegistry> metered;
   if (options.metrics && metrics::registry() == nullptr) {
     out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-    metered.emplace(*out.metrics);
   }
+  const ScopedRankField<&RankContext::recorder> installed(
+      out.trace ? out.trace.get() : prof::recorder());
+  const ScopedRankField<&RankContext::registry> metered(
+      out.metrics ? out.metrics.get() : metrics::registry());
   metrics::Registry* const mreg = metrics::registry();
   const std::uint64_t retries0 =
       mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
@@ -382,7 +370,7 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
     }
     // Solver-level fault site: "kill:sweep@R#N" in a fault plan kills rank
     // R at the start of its Nth sweep (the checkpoint/restart ctest hook).
-    fault::inject_point("sweep", fault_rank_of(x));
+    fault::inject_point("sweep", x.grid().world().rank());
     // Pre-sweep baselines for the telemetry event's deltas.
     const Stats* const st = stats::current();
     const double flops0 =

@@ -123,7 +123,7 @@ struct HooiOptions {
   /// result's `metrics` field; a final snapshot is embedded in the
   /// SolveReport either way. Off by default: with no registry installed
   /// each instrumented site costs one thread-local load and a branch
-  /// (see docs/OBSERVABILITY.md and bench_metrics_guard).
+  /// (see docs/OBSERVABILITY.md and the metrics leg of bench_overhead_guard).
   bool metrics = false;
 };
 

@@ -1,7 +1,6 @@
 #include "core/rank_adaptive.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "comm/monitor.hpp"
 #include "common/rng.hpp"
@@ -136,16 +135,17 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   }
 
   RankAdaptiveResult<T> out;
-  std::optional<prof::ScopedRecorder> installed;
+  // Solve-owned sinks when asked for and the caller installed none.
   if (options.hooi.profile && prof::recorder() == nullptr) {
     out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-    installed.emplace(*out.trace);
   }
-  std::optional<metrics::ScopedRegistry> metered;
   if (options.hooi.metrics && metrics::registry() == nullptr) {
     out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-    metered.emplace(*out.metrics);
   }
+  const ScopedRankField<&RankContext::recorder> installed(
+      out.trace ? out.trace.get() : prof::recorder());
+  const ScopedRankField<&RankContext::registry> metered(
+      out.metrics ? out.metrics.get() : metrics::registry());
   metrics::Registry* const mreg = metrics::registry();
   const std::uint64_t retries0 =
       mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
@@ -286,11 +286,7 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
     };
 
     // Solver-level fault site, same semantics as in hooi() (see there).
-    {
-      const int bound = comm::bound_world_rank();
-      fault::inject_point(
-          "sweep", bound >= 0 ? bound : x.grid().world().rank());
-    }
+    fault::inject_point("sweep", x.grid().world().rank());
     x.grid().world().barrier();
     Stopwatch sweep_clock;
     dist::DistTensor<T> core =

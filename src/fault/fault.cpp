@@ -51,17 +51,11 @@ std::atomic<bool> g_active{false};
 std::mutex g_plan_mutex;
 std::shared_ptr<Plan::Impl> g_plan;
 
-// Thread-scoped plan (ScopedThreadPlan). A rank thread carrying one shadows
-// the process plan entirely, which is what keeps concurrent serve jobs'
-// plans from cross-injecting (DESIGN.md §13). Checked before the global on
-// every hook; the pointer lives on this thread only, so no lock is needed.
-thread_local std::shared_ptr<Plan::Impl> t_plan;
-
-std::shared_ptr<Plan::Impl> snapshot() {
-  if (t_plan) return t_plan;
-  if (!g_active.load(std::memory_order_acquire)) return nullptr;
-  std::lock_guard lock(g_plan_mutex);
-  return g_plan;
+/// The rank fault rules match: the world rank on a Runtime rank thread,
+/// else the caller's communicator rank.
+int site_rank(int comm_rank) {
+  const int world = rank_context().world_rank;
+  return world >= 0 ? world : comm_rank;
 }
 
 std::shared_ptr<Plan::Impl> install(std::shared_ptr<Plan::Impl> next) {
@@ -73,6 +67,17 @@ std::shared_ptr<Plan::Impl> install(std::shared_ptr<Plan::Impl> next) {
 }
 
 }  // namespace
+
+/// The plan the calling thread matches against. A world's plan in the
+/// RankContext shadows the process plan entirely, which is what keeps
+/// concurrent serve jobs' plans from cross-injecting (DESIGN.md §13); it is
+/// checked before the global on every hook and needs no lock.
+std::shared_ptr<Plan::Impl> installed_plan() {
+  if (const Plan* plan = rank_context().fault_plan) return plan->impl_;
+  if (!g_active.load(std::memory_order_acquire)) return nullptr;
+  std::lock_guard lock(g_plan_mutex);
+  return g_plan;
+}
 
 Plan::Plan(std::uint64_t seed) : impl_(std::make_shared<Impl>(seed)) {}
 
@@ -177,25 +182,20 @@ ScopedPlan::ScopedPlan(const Plan& plan) : prev_(install(plan.impl_)) {}
 
 ScopedPlan::~ScopedPlan() { install(std::move(prev_)); }
 
-ScopedThreadPlan::ScopedThreadPlan(const Plan& plan)
-    : prev_(std::move(t_plan)) {
-  t_plan = plan.impl_;
-}
-
-ScopedThreadPlan::~ScopedThreadPlan() { t_plan = std::move(prev_); }
-
 bool active() {
-  return t_plan != nullptr || g_active.load(std::memory_order_relaxed);
+  return rank_context().fault_plan != nullptr ||
+         g_active.load(std::memory_order_relaxed);
 }
 
 RetryPolicy retry_policy() {
-  const auto plan = snapshot();
+  const auto plan = installed_plan();
   return plan ? plan->retry : RetryPolicy{};
 }
 
 void inject_point(const char* op, int rank) {
-  const auto plan = snapshot();
+  const auto plan = installed_plan();
   if (!plan) return;
+  rank = site_rank(rank);
   for (auto& rs : plan->rules) {
     if (rs.rule.action == Action::bitflip) continue;
     if (!Plan::Impl::site_matches(rs.rule, op, rank)) continue;
@@ -223,8 +223,9 @@ void inject_point(const char* op, int rank) {
 }
 
 void inject_payload(const char* op, int rank, void* data, std::size_t bytes) {
-  const auto plan = snapshot();
+  const auto plan = installed_plan();
   if (!plan || bytes == 0) return;
+  rank = site_rank(rank);
   for (auto& rs : plan->rules) {
     if (rs.rule.action != Action::bitflip) continue;
     if (!Plan::Impl::site_matches(rs.rule, op, rank)) continue;

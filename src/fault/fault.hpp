@@ -1,13 +1,13 @@
 #pragma once
 // Deterministic fault injection for the thread-based message-passing runtime
 // (docs/ROBUSTNESS.md). A seeded Plan of nth-call matchers is installed
-// either process-wide (ScopedPlan) or on one thread (ScopedThreadPlan — the
-// runtime uses it to scope a plan to the rank threads of a single world via
-// comm::RunOptions::fault_plan); the comm layer calls the inject hooks at
-// every collective entry (and on selected payloads), and the solver loop
-// exposes a per-sweep site ("sweep"). A thread plan shadows the process
-// plan on its thread. With no plan installed anywhere every hook is one
-// relaxed atomic load — the production hot path pays nothing.
+// either process-wide (ScopedPlan) or in the RankContext of one world's
+// rank threads (comm::RunOptions::fault_plan, set by Runtime::run); the comm
+// layer calls the inject hooks at every collective entry (and on selected
+// payloads), and the solver loop exposes a per-sweep site ("sweep"). A
+// world's plan shadows the process plan on its rank threads. With no plan
+// installed anywhere every hook is one relaxed atomic load — the
+// production hot path pays nothing.
 //
 // Actions:
 //  * delay      — sleep `delay_ms` at the matched site (skew/straggler).
@@ -66,7 +66,10 @@ struct RetryPolicy {
 
 /// A copyable handle to a shared fault plan (rule list + retry policy +
 /// seed). Thread-safe to match against concurrently; build it fully before
-/// installing.
+/// installing. Every thread holding the same Plan shares one set of rule
+/// counters: the runtime sets a job's plan in each rank thread's
+/// RankContext, so nth-call matching spans the world while concurrent
+/// worlds with different plans never cross-inject.
 class Plan {
  public:
   explicit Plan(std::uint64_t seed = 1);
@@ -95,7 +98,7 @@ class Plan {
 
  private:
   friend class ScopedPlan;
-  friend class ScopedThreadPlan;
+  friend std::shared_ptr<Impl> installed_plan();
 
   std::shared_ptr<Impl> impl_;
 };
@@ -114,25 +117,6 @@ class ScopedPlan {
   std::shared_ptr<Plan::Impl> prev_;
 };
 
-/// Installs `plan` on the *current thread only* for the lifetime of the
-/// scope, shadowing any process-wide plan there and restoring the previous
-/// thread plan on destruction. Because a Plan is a shared handle, every
-/// thread holding the same Plan shares one set of rule counters — the
-/// runtime installs the job's plan on each rank thread of a world
-/// (RunOptions::fault_plan), so nth-call matching spans the world while
-/// concurrent worlds with different plans never cross-inject.
-class ScopedThreadPlan {
- public:
-  explicit ScopedThreadPlan(const Plan& plan);
-  ~ScopedThreadPlan();
-
-  ScopedThreadPlan(const ScopedThreadPlan&) = delete;
-  ScopedThreadPlan& operator=(const ScopedThreadPlan&) = delete;
-
- private:
-  std::shared_ptr<Plan::Impl> prev_;
-};
-
 /// True when a plan is installed (one relaxed atomic load).
 bool active();
 
@@ -140,11 +124,13 @@ bool active();
 RetryPolicy retry_policy();
 
 /// Site hook: may sleep (delay), throw comm::CommError (transient), or
-/// throw RankKilledError (kill). No-op without an installed plan.
+/// throw RankKilledError (kill). No-op without an installed plan. Rules
+/// match the thread's world rank (RankContext::world_rank) on a Runtime
+/// rank thread, else `rank` — the caller's communicator rank.
 void inject_point(const char* op, int rank);
 
 /// Payload hook: may flip one bit of [data, data + bytes). No-op without an
-/// installed plan.
+/// installed plan. `rank` as for inject_point.
 void inject_payload(const char* op, int rank, void* data, std::size_t bytes);
 
 /// Sleeps `ms` milliseconds (sub-millisecond values supported).

@@ -1,82 +1,36 @@
 #include "metrics/metrics.hpp"
 
 #include <cmath>
+#include <iterator>
 
 namespace rahooi::metrics {
 
-namespace {
-
-thread_local Registry* tls_registry = nullptr;
-thread_local MemScope tls_mem_scope = MemScope::tensor;
-
-}  // namespace
-
 const char* mem_scope_name(MemScope s) {
-  switch (s) {
-    case MemScope::tensor:
-      return "tensor";
-    case MemScope::dist_tensor:
-      return "dist_tensor";
-    case MemScope::pack_buffer:
-      return "pack_buffer";
-    case MemScope::checkpoint:
-      return "checkpoint";
-    case MemScope::dt_memo:
-      return "dt_memo";
-    case MemScope::count_:
-      break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "tensor", "dist_tensor", "pack_buffer", "checkpoint", "dt_memo"};
+  static_assert(std::size(kNames) == std::size_t(kMemScopeCount));
+  const auto i = static_cast<std::size_t>(s);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::fault_retries:
-      return "fault_retries";
-    case Counter::solver_fallbacks:
-      return "solver_fallbacks";
-    case Counter::solver_sweeps:
-      return "solver_sweeps";
-    case Counter::checkpoint_writes:
-      return "checkpoint_writes";
-    case Counter::sketch_regrowths:
-      return "sketch_regrowths";
-    case Counter::serve_submitted:
-      return "serve_submitted";
-    case Counter::serve_completed:
-      return "serve_completed";
-    case Counter::serve_cache_hits:
-      return "serve_cache_hits";
-    case Counter::serve_shed:
-      return "serve_shed";
-    case Counter::serve_deadline_misses:
-      return "serve_deadline_misses";
-    case Counter::serve_failed:
-      return "serve_failed";
-    case Counter::serve_retries:
-      return "serve_retries";
-    case Counter::serve_resumes:
-      return "serve_resumes";
-    case Counter::serve_preemptions:
-      return "serve_preemptions";
-    case Counter::count_:
-      break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "fault_retries", "solver_fallbacks", "solver_sweeps",
+      "checkpoint_writes", "sketch_regrowths", "serve_submitted",
+      "serve_completed", "serve_cache_hits", "serve_shed",
+      "serve_deadline_misses", "serve_failed", "serve_retries",
+      "serve_resumes", "serve_preemptions"};
+  static_assert(std::size(kNames) == std::size_t(kCounterCount));
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 const char* serve_stage_name(ServeStage s) {
-  switch (s) {
-    case ServeStage::queue:
-      return "queue";
-    case ServeStage::solve:
-      return "solve";
-    case ServeStage::total:
-      return "total";
-    case ServeStage::count_:
-      break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "queue", "solve", "total"};
+  static_assert(std::size(kNames) == std::size_t(kServeStageCount));
+  const auto i = static_cast<std::size_t>(s);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 std::size_t Histogram::bucket_of(double v) {
@@ -127,21 +81,5 @@ void Registry::clear() {
   named_.clear();
   events_.clear();
 }
-
-Registry* registry() { return tls_registry; }
-
-ScopedRegistry::ScopedRegistry(Registry& r) : prev_(tls_registry) {
-  tls_registry = &r;
-}
-
-ScopedRegistry::~ScopedRegistry() { tls_registry = prev_; }
-
-MemScope current_mem_scope() { return tls_mem_scope; }
-
-MemScopeGuard::MemScopeGuard(MemScope s) : prev_(tls_mem_scope) {
-  tls_mem_scope = s;
-}
-
-MemScopeGuard::~MemScopeGuard() { tls_mem_scope = prev_; }
 
 }  // namespace rahooi::metrics

@@ -5,11 +5,13 @@
 // metrics answers "how much" — monotonic counters, gauges with high-water
 // (peak) tracking, log2-bucketed histograms, byte-accounted memory scopes,
 // and a structured solver-telemetry event log. One Registry per rank thread,
-// installed with ScopedRegistry exactly like prof::ScopedRecorder; every
-// instrument site starts with one thread-local load (`registry()`) and a
-// branch, so the metrics-off cost is a single relaxed load per site
-// (guarded <1% by bench_metrics_guard). A Registry is only ever mutated by
-// its own rank thread — no locks anywhere on the hot path.
+// held in the thread's RankContext and installed with ScopedRegistry exactly
+// like prof::ScopedRecorder; every instrument site starts with one
+// thread-local load (`registry()`) and a branch, so the metrics-off cost is
+// a single load per site (guarded <1% by `bench_overhead_guard metrics`). A
+// Registry is only ever mutated by its own rank thread — no locks anywhere
+// on the hot path. Collective calls/bytes/seconds are recorded by the one
+// collective scope, comm::CollectiveGuard.
 
 #include <array>
 #include <cstddef>
@@ -128,11 +130,11 @@ struct Gauge {
   }
 };
 
-/// Per-collective-kind instrumentation: call count plus bytes/seconds
-/// histograms. `seconds` measures the full park-to-unpark latency of the
-/// collective (the time the rank spent inside it, including waiting).
+/// Per-collective-kind instrumentation: bytes/seconds histograms (the call
+/// count is `bytes.count`). `seconds` measures the full park-to-unpark
+/// latency of the collective (the time the rank spent inside it, including
+/// waiting).
 struct CollectiveMetrics {
-  std::uint64_t calls = 0;
   Histogram bytes;
   Histogram seconds;
 };
@@ -190,7 +192,6 @@ class Registry {
   // Collectives (hot path).
   void record_collective(CollectiveKind k, double bytes, double seconds) {
     CollectiveMetrics& m = collectives_[static_cast<std::size_t>(k)];
-    ++m.calls;
     m.bytes.record(bytes);
     m.seconds.record(seconds);
   }
@@ -271,21 +272,14 @@ class Registry {
 /// The calling thread's installed registry, or nullptr when metrics are off.
 /// This load-and-branch is the entire off-mode cost of every instrument
 /// site.
-Registry* registry();
+inline Registry* registry() { return rank_context().registry; }
 
 /// Installs `r` as the calling thread's registry for the lifetime of the
 /// scope (restores the previous one on destruction). Mirrors
 /// prof::ScopedRecorder.
-class ScopedRegistry {
+class ScopedRegistry : ScopedRankField<&RankContext::registry> {
  public:
-  explicit ScopedRegistry(Registry& r);
-  ~ScopedRegistry();
-
-  ScopedRegistry(const ScopedRegistry&) = delete;
-  ScopedRegistry& operator=(const ScopedRegistry&) = delete;
-
- private:
-  Registry* prev_;
+  explicit ScopedRegistry(Registry& r) : ScopedRankField(&r) {}
 };
 
 // ---------------------------------------------------------------------------
@@ -294,19 +288,12 @@ class ScopedRegistry {
 
 /// The calling thread's current allocation scope (MemScope::tensor unless a
 /// MemScopeGuard is active).
-MemScope current_mem_scope();
+inline MemScope current_mem_scope() { return rank_context().mem_scope; }
 
 /// Charges tracked allocations in the enclosing scope to `s`.
-class MemScopeGuard {
+class MemScopeGuard : ScopedRankField<&RankContext::mem_scope> {
  public:
-  explicit MemScopeGuard(MemScope s);
-  ~MemScopeGuard();
-
-  MemScopeGuard(const MemScopeGuard&) = delete;
-  MemScopeGuard& operator=(const MemScopeGuard&) = delete;
-
- private:
-  MemScope prev_;
+  explicit MemScopeGuard(MemScope s) : ScopedRankField(s) {}
 };
 
 /// DistTensor local blocks are charged to dist_tensor unless an explicit
@@ -411,34 +398,6 @@ class ScopedBytes {
 
  private:
   TrackedBytes tag_;
-};
-
-// ---------------------------------------------------------------------------
-// Collective timing helper
-// ---------------------------------------------------------------------------
-
-/// Captures the registry pointer and a start timestamp at collective entry;
-/// record() files the call under `kind`. When metrics are off the
-/// constructor is one thread-local load and a branch — no clock read.
-class CollectiveTimer {
- public:
-  CollectiveTimer() : reg_(registry()), t0_(reg_ ? stats::now() : 0.0) {}
-
-  void record(CollectiveKind kind, double bytes) const {
-    // Collective-complete edge for the flight recorder (the matching post
-    // edge is recorded by CollectiveGuard): carries the payload bytes.
-    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->record(obs::RecordKind::collective_complete, collective_name(kind),
-                 bytes);
-    }
-    if (reg_ != nullptr) {
-      reg_->record_collective(kind, bytes, stats::now() - t0_);
-    }
-  }
-
- private:
-  Registry* reg_;
-  double t0_;
 };
 
 }  // namespace rahooi::metrics

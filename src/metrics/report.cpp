@@ -16,10 +16,6 @@
 
 namespace rahooi::metrics {
 
-namespace {
-
-/// Compact numeric formatting: integers exactly, everything else with
-/// round-trip precision.
 std::string fmt_number(double v) {
   char buf[40];
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9e15) {
@@ -29,6 +25,8 @@ std::string fmt_number(double v) {
   }
   return buf;
 }
+
+namespace {
 
 /// Inserts `label="value"` into a `name` or `name{...}` key.
 std::string with_label(const std::string& key, const std::string& label,
@@ -87,10 +85,10 @@ std::vector<Sample> snapshot(const Registry& r) {
   for (std::size_t k = 0; k < kCollectiveCount; ++k) {
     const auto kind = static_cast<CollectiveKind>(k);
     const CollectiveMetrics& m = r.collective(kind);
-    if (m.calls == 0) continue;
+    if (m.bytes.count == 0) continue;
     const std::string labels =
         std::string("{kind=\"") + collective_name(kind) + "\"}";
-    add("comm.calls" + labels, double(m.calls));
+    add("comm.calls" + labels, double(m.bytes.count));
     add("comm.bytes.sum" + labels, m.bytes.sum);
     add("comm.bytes.min" + labels, m.bytes.min);
     add("comm.bytes.max" + labels, m.bytes.max);

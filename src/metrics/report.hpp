@@ -22,6 +22,10 @@
 
 namespace rahooi::metrics {
 
+/// Compact numeric formatting shared by every metrics export: integers
+/// exactly, everything else with round-trip precision.
+std::string fmt_number(double v);
+
 /// One flat per-rank sample; `key` is `name` or `name{label="value",...}`.
 struct Sample {
   std::string key;

@@ -19,16 +19,6 @@ namespace rahooi::obs {
 
 namespace {
 
-std::string fmt_value(double v) {
-  char buf[64];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
 const char* const kPriorityNames[3] = {"low", "normal", "high"};
 
 bool parse_seq(const std::string& line, const std::string& prefix,
@@ -79,12 +69,13 @@ std::string exposition_name(const std::string& key) {
 std::string exposition_text(const metrics::Registry& r, const Status& s,
                             std::uint64_t seq) {
   std::string out = "# rahooi-exposition v1 seq=" + std::to_string(seq) + "\n";
-  out += "# time " + fmt_value(s.time) + "\n";
+  out += "# time " + metrics::fmt_number(s.time) + "\n";
   for (const metrics::Sample& sample : metrics::snapshot(r)) {
     // The registry's queue gauge lags the scheduler state it mirrors; the
     // Status snapshot below is authoritative for the live depth.
     if (sample.key == "serve.queue.depth") continue;
-    out += exposition_name(sample.key) + " " + fmt_value(sample.value) + "\n";
+    out += exposition_name(sample.key) + " " +
+           metrics::fmt_number(sample.value) + "\n";
   }
   out += "serve_queue_depth " + std::to_string(s.queue_depth) + "\n";
   for (int p = 0; p < 3; ++p) {
@@ -105,7 +96,7 @@ std::string exposition_text(const metrics::Registry& r, const Status& s,
 std::string status_table(const Status& s, std::uint64_t seq) {
   char line[256];
   std::string out = "rahooi serve status (scrape " + std::to_string(seq) +
-                    ", t=" + fmt_value(s.time) + "s)\n";
+                    ", t=" + metrics::fmt_number(s.time) + "s)\n";
   std::snprintf(line, sizeof(line),
                 "queue %zu (low=%zu normal=%zu high=%zu)  running %zu  "
                 "cache %zu/%zu  ranks free %d/%d%s%s\n",

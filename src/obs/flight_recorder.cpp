@@ -2,38 +2,19 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/stats.hpp"
 
 namespace rahooi::obs {
 
-namespace {
-
-thread_local FlightRecorder* t_recorder = nullptr;
-thread_local std::uint64_t t_trace_id = 0;
-
-}  // namespace
-
 const char* record_kind_name(RecordKind k) {
-  switch (k) {
-    case RecordKind::span_begin:
-      return "span_begin";
-    case RecordKind::span_end:
-      return "span_end";
-    case RecordKind::collective_post:
-      return "collective_post";
-    case RecordKind::collective_complete:
-      return "collective_complete";
-    case RecordKind::fault_hit:
-      return "fault_hit";
-    case RecordKind::checkpoint:
-      return "checkpoint";
-    case RecordKind::yield:
-      return "yield";
-    case RecordKind::count_:
-      break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "span_begin", "span_end", "collective_post", "collective_complete",
+      "fault_hit", "checkpoint", "yield"};
+  static_assert(std::size(kNames) == std::size_t(kRecordKindCount));
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 namespace {
@@ -115,28 +96,6 @@ void FlightRecorder::clear() {
   }
   total_.store(0, std::memory_order_release);
 }
-
-FlightRecorder* flight_recorder() { return t_recorder; }
-
-ScopedFlightRecorder::ScopedFlightRecorder(FlightRecorder& r)
-    : prev_(t_recorder) {
-  t_recorder = &r;
-}
-
-ScopedFlightRecorder::ScopedFlightRecorder(FlightRecorder* r)
-    : prev_(t_recorder) {
-  t_recorder = r;
-}
-
-ScopedFlightRecorder::~ScopedFlightRecorder() { t_recorder = prev_; }
-
-std::uint64_t trace_id() { return t_trace_id; }
-
-ScopedTraceContext::ScopedTraceContext(std::uint64_t id) : prev_(t_trace_id) {
-  t_trace_id = id;
-}
-
-ScopedTraceContext::~ScopedTraceContext() { t_trace_id = prev_; }
 
 std::uint64_t mint_trace_id(std::uint64_t job_id, std::uint64_t submit_seq) {
   // FNV-1a over the two 64-bit values, byte by byte — same constants as the

@@ -12,16 +12,17 @@
 // doing in its last N events" without any tracing switched on. The watchdog
 // park report renders the same rings live.
 //
-// Cost contract (bench_obs_guard, ctest `obs-smoke`): like the metrics
-// registry, every instrument site starts with one thread-local load and a
-// branch (`flight_recorder() == nullptr`), and a recording is one fetch_add,
+// Cost contract (`bench_overhead_guard obs`, ctest `obs-smoke`): like the
+// metrics registry, every instrument site starts with one load of the
+// thread's RankContext and a branch (`flight_recorder() == nullptr`), and a
+// recording is one fetch_add,
 // one uncontended slot-claim CAS, and a fixed number of relaxed word stores —
 // no locks, no allocation, <1% on the solver hot path with the recorder
 // installed.
 //
 // Trace context: a per-job trace id minted by serve::Scheduler rides
-// comm::RunOptions::trace_id into the world; Runtime::run installs it on
-// every rank thread (ScopedTraceContext), where metrics events, solver
+// comm::RunOptions::trace_id into the world; Runtime::run installs it in
+// every rank thread's RankContext, where metrics events, solver
 // reports, and prof recorders pick it up — joining serve-level stage records
 // and rank-level telemetry into one end-to-end request timeline
 // (obs::merge_trace).
@@ -31,6 +32,8 @@
 #include <cstdint>
 #include <string_view>
 #include <vector>
+
+#include "common/stats.hpp"
 
 namespace rahooi::obs {
 
@@ -148,49 +151,29 @@ class FlightRecorder {
 /// The calling thread's installed flight recorder, or nullptr. This
 /// load-and-branch is the entire cost of every instrument site when no
 /// recorder is installed (bare library use outside Runtime::run).
-FlightRecorder* flight_recorder();
+inline FlightRecorder* flight_recorder() { return rank_context().flight; }
 
 /// Installs `r` as the calling thread's flight recorder for the lifetime of
-/// the scope (restores the previous one on destruction) — installed by
-/// Runtime::run on every rank thread, like metrics::ScopedRegistry.
-class ScopedFlightRecorder {
+/// the scope (restores the previous one on destruction), like
+/// metrics::ScopedRegistry. Runtime::run installs one per rank thread.
+class ScopedFlightRecorder : ScopedRankField<&RankContext::flight> {
  public:
-  explicit ScopedFlightRecorder(FlightRecorder& r);
+  explicit ScopedFlightRecorder(FlightRecorder& r) : ScopedRankField(&r) {}
   /// Pointer form: `r == nullptr` suppresses recording for the scope — the
-  /// off-leg of the bench_obs_guard overhead comparison inside a world
-  /// (where Runtime::run always installs a recorder).
-  explicit ScopedFlightRecorder(FlightRecorder* r);
-  ~ScopedFlightRecorder();
-
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-
- private:
-  FlightRecorder* prev_;
+  /// off-leg of the obs overhead guard inside a world (where Runtime::run
+  /// always installs a recorder).
+  explicit ScopedFlightRecorder(FlightRecorder* r) : ScopedRankField(r) {}
 };
 
 // ---------------------------------------------------------------------------
 // Trace context
 // ---------------------------------------------------------------------------
 
-/// The calling thread's trace id (0 = no trace context installed). Read at
+/// The calling thread's trace id (0 = no trace context installed), set in
+/// the RankContext by Runtime::run from RunOptions::trace_id. Read at
 /// telemetry-emission sites (metrics::Registry::add_event, solver reports)
 /// so everything produced under a serve job's world carries the job's id.
-std::uint64_t trace_id();
-
-/// Installs `id` as the calling thread's trace context for the lifetime of
-/// the scope — installed by Runtime::run from RunOptions::trace_id.
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(std::uint64_t id);
-  ~ScopedTraceContext();
-
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-
- private:
-  std::uint64_t prev_;
-};
+inline std::uint64_t trace_id() { return rank_context().trace_id; }
 
 /// FNV-1a trace-id mint over an id/seq pair — the serve scheduler hashes
 /// (job id, submit seq) so ids are stable across replays of one scenario

@@ -1,17 +1,12 @@
 #include "prof/trace.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace rahooi::prof {
-
-namespace {
-
-thread_local Recorder* tls_recorder = nullptr;
-
-}  // namespace
 
 double TraceEvent::total_comm_bytes() const {
   return std::accumulate(comm_bytes.begin(), comm_bytes.end(), 0.0);
@@ -68,24 +63,17 @@ void Recorder::close(double start, double seconds, double flops,
   open_.pop_back();
 }
 
-Recorder* recorder() { return tls_recorder; }
-
-ScopedRecorder::ScopedRecorder(Recorder& r) : prev_(tls_recorder) {
-  tls_recorder = &r;
-}
-
-ScopedRecorder::~ScopedRecorder() { tls_recorder = prev_; }
-
 TraceSpan::TraceSpan(std::string_view name, std::int64_t index, int phase)
-    : rec_(tls_recorder), phase_(phase) {
+    : rec_(rank_context().recorder), phase_(phase) {
   if (rec_ == nullptr && phase_ < 0) return;  // tracing fully disabled
+  RankContext& rc = rank_context();
   if (phase_ >= 0) {
-    prev_phase_ = stats::swap_phase(static_cast<Phase>(phase_));
-    stats::phase_frame_push();
+    prev_phase_ = std::exchange(rc.phase, static_cast<Phase>(phase_));
+    parent_frame_ = std::exchange(rc.phase_frame, &nested_);
   }
   if (rec_ != nullptr) {
     rec_->open(name, index);
-    if (const Stats* s = stats::current()) {
+    if (const Stats* s = rc.stats) {
       flops0_ = s->total_flops();
       bytes0_ = s->comm_bytes;
       messages0_ = std::accumulate(s->messages.begin(), s->messages.end(),
@@ -97,18 +85,23 @@ TraceSpan::TraceSpan(std::string_view name, std::int64_t index, int phase)
 
 TraceSpan::~TraceSpan() {
   if (rec_ == nullptr && phase_ < 0) return;
+  RankContext& rc = rank_context();
   const double seconds = stats::now() - start_;
   double self_seconds = 0.0;
   if (phase_ >= 0) {
-    self_seconds = stats::phase_frame_pop(seconds);
-    if (Stats* s = stats::current()) s->seconds[phase_] += self_seconds;
-    stats::swap_phase(prev_phase_);
+    // Innermost-wins: charge this span's wall time to the enclosing tagged
+    // span and keep only the time not spent in nested tagged spans.
+    self_seconds = seconds > nested_ ? seconds - nested_ : 0.0;
+    if (parent_frame_ != nullptr) *parent_frame_ += seconds;
+    rc.phase_frame = parent_frame_;
+    if (Stats* s = rc.stats) s->seconds[phase_] += self_seconds;
+    rc.phase = prev_phase_;
   }
   if (rec_ != nullptr) {
     double flops = 0.0;
     std::array<double, kCollectiveCount> bytes{};
     std::uint64_t messages = 0;
-    if (const Stats* s = stats::current()) {
+    if (const Stats* s = rc.stats) {
       flops = s->total_flops() - flops0_;
       for (std::size_t k = 0; k < kCollectiveCount; ++k) {
         bytes[k] = s->comm_bytes[k] - bytes0_[k];

@@ -17,10 +17,10 @@
 //
 // Overhead when no Recorder is installed:
 //   * untagged spans (comm collectives, dist kernels) reduce to one
-//     thread-local load and a branch — no clock read, no allocation;
+//     thread-local load of the RankContext and a branch — no clock read,
+//     no allocation;
 //   * phase-tagged spans additionally keep the Stats per-phase seconds
-//     attribution working (they subsume the old PhaseTimer), which costs
-//     two clock reads, exactly what PhaseTimer cost before.
+//     attribution working, which costs two clock reads.
 
 #include <array>
 #include <cstdint>
@@ -113,26 +113,22 @@ class Recorder {
 };
 
 /// The current thread's Recorder, or nullptr (tracing disabled).
-Recorder* recorder();
+inline Recorder* recorder() { return rank_context().recorder; }
 
 /// Installs `r` as the current thread's Recorder for the lifetime of the
 /// scope, restoring the previous one on destruction (like ScopedStats).
-class ScopedRecorder {
+class ScopedRecorder : ScopedRankField<&RankContext::recorder> {
  public:
-  explicit ScopedRecorder(Recorder& r);
-  ~ScopedRecorder();
-
-  ScopedRecorder(const ScopedRecorder&) = delete;
-  ScopedRecorder& operator=(const ScopedRecorder&) = delete;
-
- private:
-  Recorder* prev_;
+  explicit ScopedRecorder(Recorder& r) : ScopedRankField(&r) {}
 };
 
 /// RAII trace region. Optional `index` renders as "name[index]" in the
 /// path (per-mode / per-iteration spans); optional Phase tag makes the span
-/// also drive the Stats phase attribution (flops, bytes, and per-phase
-/// seconds), replacing PhaseScope+PhaseTimer at the tagged sites.
+/// also drive the Stats phase attribution: flops and bytes go to the phase
+/// while the span is open, and its wall time to Stats::seconds with
+/// innermost-wins semantics — a tagged span contributes its duration minus
+/// that of tagged spans nested inside it, so summing Stats::seconds never
+/// double-counts and equals the outermost tagged span's wall time.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name) : TraceSpan(name, -1, -1) {}
@@ -153,6 +149,8 @@ class TraceSpan {
   Recorder* rec_;          ///< nullptr when tracing is disabled
   int phase_;              ///< -1 when untagged
   Phase prev_phase_{};     ///< restored on close (tagged spans only)
+  double nested_ = 0.0;    ///< time in nested tagged spans (tagged only)
+  double* parent_frame_ = nullptr;  ///< enclosing tagged span's nested_
   double start_ = 0.0;
   double flops0_ = 0.0;
   std::uint64_t messages0_ = 0;

@@ -171,10 +171,14 @@ TEST(ObsTraceContext, MintIsDeterministicNonzeroAndSpreads) {
 TEST(ObsTraceContext, ScopedInstallRestores) {
   EXPECT_EQ(obs::trace_id(), 0u);
   {
-    obs::ScopedTraceContext outer(42);
+    RankContext outer_ctx;
+    outer_ctx.trace_id = 42;
+    const ScopedRankContext outer(outer_ctx);
     EXPECT_EQ(obs::trace_id(), 42u);
     {
-      obs::ScopedTraceContext inner(7);
+      RankContext inner_ctx;
+      inner_ctx.trace_id = 7;
+      const ScopedRankContext inner(inner_ctx);
       EXPECT_EQ(obs::trace_id(), 7u);
     }
     EXPECT_EQ(obs::trace_id(), 42u);

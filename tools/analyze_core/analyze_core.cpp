@@ -218,8 +218,8 @@ const std::set<std::string>& collective_methods() {
 
 const std::set<std::string>& guard_types() {
   static const std::set<std::string> kGuards{
-      "TraceSpan",       "CollectiveGuard", "ScopedRankBinding",
-      "ScopedPlan",      "ScopedThreadPlan", "MemScopeGuard",
+      "TraceSpan",       "CollectiveGuard", "ScopedRankContext",
+      "ScopedPlan",      "MemScopeGuard",
       "ScopedBytes",     "lock_guard",      "unique_lock",
       "scoped_lock",     "shared_lock",
   };

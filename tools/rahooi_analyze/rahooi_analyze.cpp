@@ -664,10 +664,11 @@ int run_analyze(const fs::path& root, const std::vector<std::string>& paths,
 }
 
 /// Fixture self-test: each subdirectory of the fixture root is analyzed as
-/// its own mini-tree. `bad_<rule>/` must yield exactly one unsuppressed
-/// finding of rule <rule> (underscores map to dashes); `clean*/` must yield
-/// none. File names map to tree paths: `core__x.cpp` is analyzed as
-/// `src/core/x.cpp`.
+/// its own mini-tree. `bad_<rule>[.<case>]/` must yield exactly one
+/// unsuppressed finding of rule <rule> (underscores map to dashes; the
+/// optional `.<case>` suffix lets one rule have several fixtures);
+/// `clean*/` must yield none. File names map to tree paths: `core__x.cpp`
+/// is analyzed as `src/core/x.cpp`.
 int run_self_test(const fs::path& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
@@ -709,7 +710,7 @@ int run_self_test(const fs::path& dir) {
     }
 
     if (starts_with(name, "bad_")) {
-      std::string rule = name.substr(4);
+      std::string rule = name.substr(4, name.find('.') - 4);
       std::replace(rule.begin(), rule.end(), '_', '-');
       ++checked;
       if (unsup.size() != 1 || unsup.front()->rule != rule) {
