@@ -35,8 +35,9 @@
 //
 // --restore resumes a solve (fixed-rank or rank-adaptive) from the
 // "Checkpoint file" written by a previous (interrupted) run; "Collective
-// timeout ms" arms the hang watchdog and "Fault plan" installs
-// deterministic fault injection — see docs/ROBUSTNESS.md.
+// timeout ms" arms the world's hang watchdog and "Fault plan" scopes
+// deterministic fault injection to the world — see docs/ROBUSTNESS.md.
+
 //
 // Example configuration (artifact appendix B.1):
 //   Print options = true
@@ -51,243 +52,11 @@
 //   Construction Ranks = 10 10 10 10
 //   Decomposition Ranks = 10 10 10 10
 
-#include <cstdio>
-#include <optional>
-
-#include <algorithm>
-
-#include "common/stopwatch.hpp"
-#include "core/rank_adaptive.hpp"
 #include "driver_common.hpp"
-#include "example_util.hpp"
-#include "fault/fault.hpp"
-#include "model/cost_model.hpp"
-#include "prof/report.hpp"
-
-using namespace rahooi;
-
-namespace {
-
-template <typename T>
-int run(const io::ParamFile& params, bool profile, bool restore,
-        const std::string& metrics_out) {
-  const auto dims = params.get_dims("Global dims");
-  auto construction = params.get_dims("Construction Ranks");
-  auto decomposition = params.get_dims("Decomposition Ranks");
-  const auto gdims = params.get_ints("Processor grid dims");
-  RAHOOI_REQUIRE(!dims.empty(), "'Global dims' is required");
-  RAHOOI_REQUIRE(!gdims.empty(), "'Processor grid dims' is required");
-  RAHOOI_REQUIRE(!decomposition.empty(),
-                 "'Decomposition Ranks' is required");
-  if (construction.empty()) construction = decomposition;
-
-  core::HooiOptions hooi_opts;
-  hooi_opts.use_dimension_tree =
-      params.get_bool("Dimension Tree Memoization", false);
-  hooi_opts.max_iters = static_cast<int>(params.get_int("HOOI max iters", 2));
-  hooi_opts.sketch.oversample = params.get_int("Sketch Oversample", 8);
-  hooi_opts.sketch.min_cols = params.get_int("Sketch Min Cols", 16);
-  hooi_opts.sketch.growth = params.get_double("Sketch Growth", 2.0);
-  hooi_opts.sketch.safety = params.get_double("Sketch Safety", 0.5);
-  hooi_opts.sketch.deterministic =
-      params.get_bool("Sketch Deterministic", false);
-  long long svd_method = params.get_int("SVD Method", 0);
-  if (svd_method == -1) {
-    // Auto-select by modeled per-mode LLSV time for this problem shape
-    // (model/cost_model.hpp). HOOI sweeps have a warm start, so subspace
-    // iteration is eligible.
-    model::Problem prob;
-    prob.d = static_cast<int>(dims.size());
-    for (const auto v : dims) prob.n = std::max(prob.n, double(v));
-    for (const auto v : decomposition) prob.r = std::max(prob.r, double(v));
-    prob.iters = hooi_opts.max_iters;
-    prob.grid = gdims;
-    const model::LlsvBackend backend = model::pick_llsv_backend(
-        prob, hooi_opts.sketch.oversample, /*warm_start=*/true);
-    switch (backend) {
-      case model::LlsvBackend::gram_evd: svd_method = 0; break;
-      case model::LlsvBackend::subspace_iteration: svd_method = 2; break;
-      case model::LlsvBackend::sketch: svd_method = 3; break;
-    }
-    std::printf("SVD Method = -1 (auto): cost model picked %s (method %lld)\n",
-                model::llsv_backend_name(backend), svd_method);
-  }
-  RAHOOI_REQUIRE(svd_method >= 0 && svd_method <= 4,
-                 "'SVD Method' must be in [0, 4] or -1 (auto)");
-  hooi_opts.svd_method = static_cast<core::SvdMethod>(svd_method);
-  hooi_opts.seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
-  hooi_opts.profile = profile;
-  hooi_opts.metrics = !metrics_out.empty();
-  // Fault-tolerance knobs (docs/ROBUSTNESS.md): hang watchdog deadline and
-  // per-sweep checkpointing. `--restore` resumes from "Checkpoint file".
-  hooi_opts.collective_timeout_ms =
-      params.get_double("Collective timeout ms", 0.0);
-  hooi_opts.checkpoint_path = params.get_string("Checkpoint file", "");
-  const double adapt = params.get_double("HOOI-Adapt Threshold", 0.0);
-  if (restore) {
-    RAHOOI_REQUIRE(!hooi_opts.checkpoint_path.empty(),
-                   "--restore needs a 'Checkpoint file' parameter naming the "
-                   "checkpoint to resume from");
-    hooi_opts.restore_path = hooi_opts.checkpoint_path;
-  }
-  const bool timings = params.get_bool("Print timings", false);
-
-  // Deterministic fault injection ("Fault plan" / "Fault seed"): installed
-  // process-wide for the whole run, used by the robustness ctest cases.
-  std::optional<fault::ScopedPlan> fault_guard;
-  const std::string fault_spec = params.get_string("Fault plan", "");
-  if (!fault_spec.empty()) {
-    fault_guard.emplace(fault::Plan::parse(
-        fault_spec,
-        static_cast<std::uint64_t>(params.get_int("Fault seed", 1))));
-    std::printf("fault plan installed: %s\n", fault_spec.c_str());
-  }
-
-  std::printf("variant: %s%s\n", core::variant_name(hooi_opts).c_str(),
-              adapt > 0.0 ? " (rank-adaptive)" : " (fixed rank)");
-
-  int p = 1;
-  for (const int g : gdims) p *= g;
-
-  std::vector<Stats> per_rank;
-  std::vector<prof::Recorder> traces;
-  std::vector<metrics::Registry> rank_metrics;
-  comm::RunOptions run_opts;
-  if (!metrics_out.empty()) run_opts.rank_metrics = &rank_metrics;
-  comm::Runtime::run(
-      p,
-      [&](comm::Comm& world) {
-        dist::ProcessorGrid grid(world, gdims);
-        auto x = examples::make_input<T>(params, grid, dims, construction);
-        world.barrier();
-        Stopwatch clock;
-        if (adapt > 0.0) {
-          core::RankAdaptiveOptions opt;
-          opt.hooi = hooi_opts;
-          opt.tolerance = adapt;
-          opt.max_iters = hooi_opts.max_iters;
-          opt.growth_factor = params.get_double("Rank growth factor", 1.5);
-          const std::string init = params.get_string("RA Init", "random");
-          RAHOOI_REQUIRE(init == "sketched" || init == "random",
-                         "'RA Init' must be 'sketched' or 'random'");
-          opt.init = init == "random" ? core::RaInit::random_factors
-                                      : core::RaInit::sketched_sthosvd;
-          auto res = core::rank_adaptive_hooi(x, decomposition, opt);
-          world.barrier();
-          const std::string output = params.get_string("Output file", "");
-          if (!output.empty() && world.rank() == 0) {
-            io::write_tucker(res.tucker, output);
-            std::printf("compressed Tucker tensor written to %s\n",
-                        output.c_str());
-          }
-          if (world.rank() == 0 && res.report.degraded()) {
-            std::printf("solve degraded (numerical fallbacks taken):\n%s",
-                        res.report.to_string().c_str());
-          }
-          if (world.rank() == 0) {
-            if (restore) {
-              std::printf("restored from %s (%zu total iterations incl. the "
-                          "checkpointed ones)\n",
-                          hooi_opts.restore_path.c_str(),
-                          res.iterations.size());
-            }
-            for (const auto& it : res.iterations) {
-              std::printf("iteration %d: error %.4e after ranks %s -> %s\n",
-                          it.index, it.rel_error,
-                          examples::dims_to_string(it.sweep_ranks).c_str(),
-                          it.satisfied ? "satisfied" : "grow");
-            }
-            std::printf("final: ranks %s rel_error %.4e compression %.1fx "
-                        "(%.3fs)\n",
-                        examples::dims_to_string(res.tucker.ranks()).c_str(),
-                        res.rel_error, res.tucker.compression_ratio(),
-                        clock.elapsed());
-          }
-        } else {
-          auto res = core::hooi(x, decomposition, hooi_opts);
-          world.barrier();
-          const std::string output = params.get_string("Output file", "");
-          if (!output.empty()) {
-            auto tucker = res.decomposition.replicated();  // collective
-            if (world.rank() == 0) {
-              io::write_tucker(tucker, output);
-              std::printf("compressed Tucker tensor written to %s\n",
-                          output.c_str());
-            }
-          }
-          if (world.rank() == 0) {
-            if (restore) {
-              std::printf("restored from %s (%d total sweeps incl. the "
-                          "checkpointed ones)\n",
-                          hooi_opts.restore_path.c_str(), res.iterations);
-            }
-            if (res.report.degraded()) {
-              std::printf("solve degraded (numerical fallbacks taken):\n%s",
-                          res.report.to_string().c_str());
-            }
-            for (std::size_t i = 0; i < res.error_history.size(); ++i) {
-              std::printf("iteration %zu: approximation error %.6e\n", i + 1,
-                          res.error_history[i]);
-            }
-            examples::print_result(core::variant_name(hooi_opts).c_str(),
-                                   res.decomposition, clock.elapsed());
-          }
-        }
-      },
-      &per_rank, profile ? &traces : nullptr, run_opts);
-  if (timings) examples::print_timing_breakdown(per_rank[0]);
-  if (!metrics_out.empty()) {
-    examples::write_metrics_outputs(metrics_out, rank_metrics);
-  }
-  if (profile) {
-    const std::string trace_path =
-        params.get_string("Trace file", "trace.json");
-    prof::write_chrome_trace(trace_path, traces);
-    std::size_t events = 0;
-    for (const auto& t : traces) events += t.events().size();
-    std::printf("profile: %zu spans on %d ranks; Chrome trace written to %s "
-                "(open at chrome://tracing or https://ui.perfetto.dev)\n",
-                events, p, trace_path.c_str());
-    std::printf("top spans by per-rank max inclusive time:\n%s\n",
-                prof::aggregate_pretty(prof::aggregate(traces), 12).c_str());
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  if (examples::has_flag(argc, argv, "--help")) {
-    std::printf(
-        "usage: hooi_driver --parameter-file <file.cfg> [--profile]\n"
-        "                   [--restore] [--metrics-out <metrics.json>]\n\n"
-        "parameter keys (io::param_key_table):\n%s",
-        io::param_help("hooi").c_str());
-    return 0;
-  }
-  try {
-    const io::ParamFile params = examples::load_params(argc, argv);
-    if (params.get_bool("Print options", false)) {
-      std::printf("parsed options:\n%s\n", params.to_string().c_str());
-    }
-    // `--profile` (or `Profile = true` in the parameter file) traces the run
-    // with per-rank prof::Recorders and writes a Chrome trace_event JSON to
-    // "Trace file" (default trace.json).
-    const bool profile = examples::has_flag(argc, argv, "--profile") ||
-                         params.get_bool("Profile", false);
-    // `--restore` resumes a checkpointed fixed-rank solve from the
-    // "Checkpoint file" path (see docs/ROBUSTNESS.md).
-    const bool restore = examples::has_flag(argc, argv, "--restore");
-    // `--metrics-out <file.json>` (or "Metrics file" in the parameter file)
-    // enables the metrics layer and writes the aggregated flat JSON plus
-    // the JSONL event log (see docs/OBSERVABILITY.md).
-    const std::string metrics_out = examples::arg_value(
-        argc, argv, "--metrics-out", params.get_string("Metrics file", ""));
-    return params.get_bool("Single precision", true)
-               ? run<float>(params, profile, restore, metrics_out)
-               : run<double>(params, profile, restore, metrics_out);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return rahooi::examples::driver_main(
+      argc, argv, rahooi::core::Driver::hooi, "hooi",
+      "usage: hooi_driver --parameter-file <file.cfg> [--profile]\n"
+      "                   [--restore] [--metrics-out <metrics.json>]\n");
 }

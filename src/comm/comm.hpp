@@ -59,14 +59,6 @@ class Comm {
     ctx_->barrier_wait();
   }
 
-  /// Arms (or disarms, 0) the world's collective hang watchdog: any single
-  /// collective wait exceeding the deadline dumps which ranks are parked in
-  /// which collective and aborts the world with TimeoutError. Shared by all
-  /// communicators split from the same world.
-  void set_collective_timeout(double seconds) const {
-    if (ctx_ != nullptr) ctx_->monitor()->set_timeout(seconds);
-  }
-
   /// Root's buffer is copied to every rank.
   template <typename T>
   void bcast(T* data, idx_t n, int root) const {

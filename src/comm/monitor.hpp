@@ -15,7 +15,7 @@
 //    Recorder is installed), so a watchdog firing can report exactly where
 //    every rank is stuck.
 //  * the *watchdog deadline*: an opt-in bound on collective waits
-//    (RAHOOI_COLLECTIVE_TIMEOUT_MS or Runtime/HooiOptions knobs). A wait
+//    (RAHOOI_COLLECTIVE_TIMEOUT_MS or RunOptions::collective_timeout_s). A wait
 //    exceeding it dumps the park registry, aborts the world, and throws
 //    TimeoutError — turning silent mismatched-collective deadlocks into
 //    actionable diagnostics.

@@ -2,13 +2,10 @@
 
 #include <cmath>
 
-#include "comm/monitor.hpp"
 #include "common/rng.hpp"
-#include "core/checkpoint.hpp"
 #include "core/dimension_tree.hpp"
-#include "fault/fault.hpp"
+#include "core/solver_shell.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/report.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -295,25 +292,8 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
                    const std::vector<idx_t>& ranks,
                    const HooiOptions& options) {
   validate(options);
-  if (options.collective_timeout_ms > 0.0) {
-    x.grid().world().set_collective_timeout(options.collective_timeout_ms /
-                                            1000.0);
-  }
+  detail::SolverShell shell(x.grid().world(), "hooi", options.yield_flag);
   HooiResult<T> out;
-  // Solve-owned sinks when asked for and the caller installed none.
-  if (options.profile && prof::recorder() == nullptr) {
-    out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-  }
-  if (options.metrics && metrics::registry() == nullptr) {
-    out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-  }
-  const ScopedRankField<&RankContext::recorder> installed(
-      out.trace ? out.trace.get() : prof::recorder());
-  const ScopedRankField<&RankContext::registry> metered(
-      out.metrics ? out.metrics.get() : metrics::registry());
-  metrics::Registry* const mreg = metrics::registry();
-  const std::uint64_t retries0 =
-      mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
   // Root span tagged Phase::other: every second of the run lands in some
   // phase bucket, so the per-phase breakdown sums to this span's wall time.
   prof::TraceSpan root("hooi", Phase::other);
@@ -322,23 +302,11 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
   int start = 0;
   double prev_error = 1.0;
   if (!options.restore_path.empty()) {
-    // Every rank reads the (replicated) checkpoint itself — no broadcast
-    // needed, and a corrupt file fails identically everywhere.
-    SweepCheckpoint<T> ck = load_checkpoint<T>(options.restore_path);
-    RAHOOI_REQUIRE(ck.kind == CheckpointKind::hooi,
-                   "restore: checkpoint was written by rank_adaptive_hooi");
-    RAHOOI_REQUIRE(ck.seed == options.seed,
-                   "restore: checkpoint seed differs from options.seed");
+    SweepCheckpoint<T> ck = detail::load_resume_checkpoint(
+        options.restore_path, CheckpointKind::hooi, options.seed, x,
+        options.max_iters);
     RAHOOI_REQUIRE(ck.ranks == ranks,
                    "restore: checkpoint ranks differ from requested ranks");
-    RAHOOI_REQUIRE(static_cast<int>(ck.factors.size()) == x.ndims(),
-                   "restore: checkpoint order differs from the tensor");
-    for (int j = 0; j < x.ndims(); ++j) {
-      RAHOOI_REQUIRE(ck.factors[j].rows() == x.global_dim(j),
-                     "restore: checkpoint dims differ from the tensor");
-    }
-    RAHOOI_REQUIRE(ck.sweeps_done < options.max_iters,
-                   "restore: checkpointed solve already ran max_iters sweeps");
     out.decomposition.factors = std::move(ck.factors);
     out.error_history = std::move(ck.error_history);
     start = static_cast<int>(ck.sweeps_done);
@@ -350,38 +318,7 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
   }
 
   for (int iter = start; iter < options.max_iters; ++iter) {
-    // Cooperative checkpoint-and-yield (serve preemption): rank 0 reads the
-    // scheduler's flag and broadcasts the verdict, so every rank takes the
-    // same exit at the same sweep boundary — the previous sweep's
-    // checkpoint is already on disk and no collective is torn mid-post.
-    if (options.yield_flag != nullptr) {
-      int yield = (x.grid().world().rank() == 0 &&
-                   options.yield_flag->load(std::memory_order_acquire) != 0)
-                      ? 1
-                      : 0;
-      x.grid().world().bcast(&yield, 1, 0);
-      if (yield != 0) {
-        if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-          fr->record(obs::RecordKind::yield, "sweep", double(iter));
-        }
-        throw PreemptedError("hooi yielded after sweep " +
-                             std::to_string(iter));
-      }
-    }
-    // Solver-level fault site: "kill:sweep@R#N" in a fault plan kills rank
-    // R at the start of its Nth sweep (the checkpoint/restart ctest hook).
-    fault::inject_point("sweep", x.grid().world().rank());
-    // Pre-sweep baselines for the telemetry event's deltas.
-    const Stats* const st = stats::current();
-    const double flops0 =
-        (mreg != nullptr && st != nullptr) ? st->total_flops() : 0.0;
-    const double bytes0 =
-        (mreg != nullptr && st != nullptr) ? st->total_comm_bytes() : 0.0;
-    const std::uint64_t sweep_retries0 =
-        mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-    const std::uint64_t sweep_fallbacks0 = out.report.fallbacks;
-    const double t0 = mreg != nullptr ? stats::now() : 0.0;
-
+    shell.begin_step("sweep", iter, out.report.fallbacks);
     out.decomposition.core = hooi_sweep(x, out.decomposition.factors, ranks,
                                         options, iter, &out.report);
     out.decomposition.core_norm_sq = out.decomposition.core.norm_squared();
@@ -401,27 +338,15 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
       save_checkpoint(options.checkpoint_path, ck);
     }
 
-    if (mreg != nullptr) {
-      mreg->count(metrics::Counter::solver_sweeps);
-      metrics::Event ev;
-      ev.solver = "hooi";
-      ev.kind = "sweep";
-      ev.sweep = iter + 1;
-      ev.ranks.assign(ranks.begin(), ranks.end());
-      ev.rel_error = err;
-      ev.seconds = stats::now() - t0;
-      if (st != nullptr) {
-        ev.flops = st->total_flops() - flops0;
-        ev.comm_bytes = st->total_comm_bytes() - bytes0;
-      }
-      ev.compressed_size = out.decomposition.compressed_size();
-      ev.retries =
-          mreg->counter(metrics::Counter::fault_retries) - sweep_retries0;
-      ev.fallbacks = out.report.fallbacks - sweep_fallbacks0;
-      ev.llsv_fallback = ev.fallbacks > 0;
-      ev.detail = variant_name(options);
-      mreg->add_event(ev);
-    }
+    metrics::Event ev;
+    ev.kind = "sweep";
+    ev.sweep = iter + 1;
+    ev.ranks.assign(ranks.begin(), ranks.end());
+    ev.rel_error = err;
+    ev.seconds = shell.step_seconds();
+    ev.compressed_size = out.decomposition.compressed_size();
+    ev.detail = variant_name(options);
+    shell.emit(std::move(ev), out.report.fallbacks);
 
     if (options.convergence_tol > 0.0 &&
         prev_error - err < options.convergence_tol) {
@@ -429,12 +354,7 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
     }
     prev_error = err;
   }
-  if (mreg != nullptr) {
-    out.report.retries =
-        mreg->counter(metrics::Counter::fault_retries) - retries0;
-    out.report.metrics_snapshot = metrics::snapshot(*mreg);
-  }
-  out.report.trace_id = obs::trace_id();
+  shell.finish(out.report);
   return out;
 }
 

@@ -4,13 +4,11 @@
 // LLSV (Alg. 5), in the four combinations evaluated in the paper
 // (HOOI / HOOI-DT / HOSI / HOSI-DT; see core/options.hpp).
 
-#include <memory>
 #include <vector>
 
 #include "core/options.hpp"
 #include "core/solve_report.hpp"
 #include "core/sthosvd.hpp"
-#include "prof/trace.hpp"
 
 namespace rahooi::core {
 
@@ -23,16 +21,6 @@ struct HooiResult {
   /// Degradation events (numerical fallbacks taken mid-solve); empty for a
   /// clean solve. See core/solve_report.hpp.
   SolveReport report;
-  /// This rank's span trace, present when HooiOptions::profile asked hooi()
-  /// to install its own Recorder (null when profiling was off or a Recorder
-  /// was already installed, e.g. by comm::Runtime::run's rank_traces).
-  std::shared_ptr<prof::Recorder> trace;
-  /// This rank's metrics registry, present when HooiOptions::metrics asked
-  /// hooi() to install its own Registry (null when metrics were off or a
-  /// Registry was already installed, e.g. by comm::Runtime::run's
-  /// rank_metrics). Holds the counters, histograms, memory gauges, and the
-  /// per-sweep event log of the solve.
-  std::shared_ptr<metrics::Registry> metrics;
 };
 
 /// Random orthonormal factor matrices (dims[j] x ranks[j]), generated
@@ -64,10 +52,11 @@ dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
 
 /// Rank-specified HOOI (Alg. 2): random initialization, `options.max_iters`
 /// sweeps (optionally fewer if convergence_tol is met). Fault-tolerance
-/// knobs of HooiOptions: collective_timeout_ms arms the hang watchdog,
-/// checkpoint_path saves sweep state after every sweep, restore_path
-/// resumes a checkpointed solve (the remaining sweeps replay bitwise
-/// identically to the uninterrupted run; see docs/ROBUSTNESS.md).
+/// knobs of HooiOptions: checkpoint_path saves sweep state after every
+/// sweep, restore_path resumes a checkpointed solve (the remaining sweeps
+/// replay bitwise identically to the uninterrupted run; see
+/// docs/ROBUSTNESS.md). The hang watchdog belongs to the world
+/// (comm::RunOptions::collective_timeout_s).
 template <typename T>
 HooiResult<T> hooi(const dist::DistTensor<T>& x,
                    const std::vector<idx_t>& ranks,

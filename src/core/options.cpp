@@ -12,9 +12,6 @@ void validate(const HooiOptions& o) {
                  "HooiOptions: subspace_steps must be >= 1");
   RAHOOI_REQUIRE(std::isfinite(o.convergence_tol) && o.convergence_tol >= 0.0,
                  "HooiOptions: convergence_tol must be finite and >= 0");
-  RAHOOI_REQUIRE(std::isfinite(o.collective_timeout_ms) &&
-                     o.collective_timeout_ms >= 0.0,
-                 "HooiOptions: collective_timeout_ms must be finite and >= 0");
   RAHOOI_REQUIRE(o.sketch.oversample >= 1,
                  "SketchOptions: oversample must be >= 1");
   RAHOOI_REQUIRE(o.sketch.min_cols >= 1,
@@ -35,14 +32,6 @@ void validate(const RankAdaptiveOptions& o) {
                  "RankAdaptiveOptions: growth_factor must exceed 1");
   RAHOOI_REQUIRE(o.max_iters >= 1,
                  "RankAdaptiveOptions: max_iters must be >= 1");
-  RAHOOI_REQUIRE(std::isfinite(o.modewise_expand_fraction) &&
-                     o.modewise_expand_fraction >= 0.0,
-                 "RankAdaptiveOptions: modewise_expand_fraction must be "
-                 "finite and >= 0");
-  RAHOOI_REQUIRE(std::isfinite(o.modewise_contract_fraction) &&
-                     o.modewise_contract_fraction >= 0.0,
-                 "RankAdaptiveOptions: modewise_contract_fraction must be "
-                 "finite and >= 0");
 }
 
 }  // namespace rahooi::core

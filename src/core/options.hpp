@@ -67,6 +67,8 @@ struct SketchOptions {
   /// runs on the fused GEMM kernels; enable this for reproducibility
   /// studies and the P=1-vs-P=4 tests.
   bool deterministic = false;
+
+  bool operator==(const SketchOptions&) const = default;
 };
 
 struct HooiOptions {
@@ -87,11 +89,6 @@ struct HooiOptions {
   /// gaussian_sketch or krp_sketch (or by the sketched ST-HOSVD
   /// initializer).
   SketchOptions sketch;
-  /// Collective hang watchdog deadline in milliseconds (0 disables). Armed
-  /// on the tensor's world communicator at solver entry; a collective wait
-  /// exceeding it aborts the run with comm::TimeoutError and a report of
-  /// which rank is parked in which collective (docs/ROBUSTNESS.md).
-  double collective_timeout_ms = 0.0;
   /// When non-empty, rank 0 writes a versioned+checksummed checkpoint of
   /// the sweep state (factors, ranks, seed, error history) to this path
   /// after every completed sweep (core/checkpoint.hpp).
@@ -109,22 +106,8 @@ struct HooiOptions {
   /// boundary's checkpoint is already on disk and no collective is torn
   /// mid-post. Null (default): no check, no collective, no cost.
   const std::atomic<int>* yield_flag = nullptr;
-  /// Record a hierarchical trace of the run (prof::TraceSpan events). When
-  /// set and no prof::Recorder is already installed on the calling thread,
-  /// hooi() and rank_adaptive_hooi() install one and hand it back in
-  /// their result's `trace` field. Off by default: with no recorder
-  /// installed a span is one thread-local load and a branch, so the
-  /// instrumented hot paths run at full speed (see docs/PROFILING.md).
-  bool profile = false;
-  /// Record counters/histograms/peak-memory gauges and a structured
-  /// solver-telemetry event log (metrics/metrics.hpp). When set and no
-  /// metrics::Registry is already installed on the calling thread, hooi()
-  /// and rank_adaptive_hooi() install one and hand it back in their
-  /// result's `metrics` field; a final snapshot is embedded in the
-  /// SolveReport either way. Off by default: with no registry installed
-  /// each instrumented site costs one thread-local load and a branch
-  /// (see docs/OBSERVABILITY.md and the metrics leg of bench_overhead_guard).
-  bool metrics = false;
+
+  bool operator==(const HooiOptions&) const = default;
 };
 
 /// How ranks evolve when the error threshold is not yet met.
@@ -164,12 +147,6 @@ struct RankAdaptiveOptions {
   bool continue_after_satisfied = true;
 
   AdaptStrategy strategy = AdaptStrategy::global_growth;
-  /// modewise: expand a mode while its last slice holds more than this
-  /// fraction of the average slice energy (spectrum not yet decayed).
-  double modewise_expand_fraction = 0.1;
-  /// modewise: contract trailing slices whose cumulative energy stays below
-  /// this fraction of the per-mode error budget eps^2 ||X||^2 / d.
-  double modewise_contract_fraction = 0.01;
 
   /// Starting factors: the Alg. 3 cold start by default, preserving the
   /// PR 1-5 rank trajectories; opt in to RaInit::sketched_sthosvd for the
@@ -180,6 +157,8 @@ struct RankAdaptiveOptions {
     hooi.svd_method = SvdMethod::subspace_iteration;
     hooi.use_dimension_tree = true;
   }
+
+  bool operator==(const RankAdaptiveOptions&) const = default;
 };
 
 /// Variant label as used in the paper's figures ("STHOSVD", "HOOI",

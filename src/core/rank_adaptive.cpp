@@ -2,14 +2,11 @@
 
 #include <cmath>
 
-#include "comm/monitor.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "core/checkpoint.hpp"
+#include "core/solver_shell.hpp"
 #include "core/sthosvd.hpp"
-#include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/report.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -47,6 +44,13 @@ la::Matrix<T> grow_factor(const la::Matrix<T>& u, idx_t new_rank,
 
 namespace {
 
+/// modewise: expand a mode while its last slice holds more than this
+/// fraction of the average slice energy (spectrum not yet decayed).
+constexpr double kModewiseExpandFraction = 0.1;
+/// modewise: contract trailing slices whose cumulative energy stays below
+/// this fraction of the per-mode error budget eps^2 ||X||^2 / d.
+constexpr double kModewiseContractFraction = 0.01;
+
 /// Per-mode slice energies of the (gathered) core: out[j][i] is the squared
 /// norm of the core slice with index i in mode j.
 template <typename T>
@@ -72,7 +76,7 @@ std::vector<std::vector<double>> slice_energies(
 std::vector<idx_t> modewise_new_ranks(
     const std::vector<std::vector<double>>& energy,
     const std::vector<idx_t>& dims, double core_norm_sq,
-    double per_mode_budget_sq, const RankAdaptiveOptions& options) {
+    double per_mode_budget_sq, double growth_factor) {
   const int d = static_cast<int>(energy.size());
   std::vector<idx_t> next(d);
   bool any_grew = false;
@@ -84,7 +88,7 @@ std::vector<idx_t> modewise_new_ranks(
     // Contract: drop trailing slices while their cumulative energy stays
     // far inside the per-mode error budget.
     const double contract_tol =
-        options.modewise_contract_fraction * per_mode_budget_sq;
+        kModewiseContractFraction * per_mode_budget_sq;
     idx_t keep = r;
     double tail = 0.0;
     while (keep > 1 && tail + e[keep - 1] <= contract_tol) {
@@ -96,12 +100,12 @@ std::vector<idx_t> modewise_new_ranks(
     const double avg = core_norm_sq / std::max<double>(1.0, double(r));
     const double last = e[keep - 1];
     idx_t grown = keep;
-    if (last > options.modewise_expand_fraction * avg) {
+    if (last > kModewiseExpandFraction * avg) {
       grown = std::min<idx_t>(
           dims[j], std::max<idx_t>(
                        keep + 1,
                        static_cast<idx_t>(std::ceil(
-                           options.growth_factor * double(keep)))));
+                           growth_factor * double(keep)))));
     }
     if (grown > static_cast<idx_t>(e.size())) any_grew = true;
     if (last > best_tail && static_cast<idx_t>(e.size()) < dims[j]) {
@@ -129,26 +133,8 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   RAHOOI_REQUIRE(static_cast<int>(initial_ranks.size()) == d,
                  "rank_adaptive_hooi: one initial rank per mode required");
   validate(options);
-  if (options.hooi.collective_timeout_ms > 0.0) {
-    x.grid().world().set_collective_timeout(
-        options.hooi.collective_timeout_ms / 1000.0);
-  }
-
+  detail::SolverShell shell(x.grid().world(), "ra", options.hooi.yield_flag);
   RankAdaptiveResult<T> out;
-  // Solve-owned sinks when asked for and the caller installed none.
-  if (options.hooi.profile && prof::recorder() == nullptr) {
-    out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-  }
-  if (options.hooi.metrics && metrics::registry() == nullptr) {
-    out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-  }
-  const ScopedRankField<&RankContext::recorder> installed(
-      out.trace ? out.trace.get() : prof::recorder());
-  const ScopedRankField<&RankContext::registry> metered(
-      out.metrics ? out.metrics.get() : metrics::registry());
-  metrics::Registry* const mreg = metrics::registry();
-  const std::uint64_t retries0 =
-      mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
   // Root span tagged Phase::other: the per-phase breakdown sums to the
   // whole run's wall time (see prof/trace.hpp).
   prof::TraceSpan root("ra", Phase::other);
@@ -166,25 +152,13 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   if (!options.hooi.restore_path.empty()) {
     // Resume from a rank-adaptive checkpoint: the rank trajectory, the
     // replicated factors, and the best satisfied decomposition so far are
-    // restored, and the loop continues at the recorded iteration. Every
-    // rank reads the (replicated) file itself — a corrupt checkpoint fails
-    // identically everywhere. Because the growth seeds are
-    // iteration-indexed and the RNG is counter-based, the remaining
-    // iterations replay bitwise identically to the uninterrupted run.
-    SweepCheckpoint<T> ck = load_checkpoint<T>(options.hooi.restore_path);
-    RAHOOI_REQUIRE(ck.kind == CheckpointKind::rank_adaptive,
-                   "restore: checkpoint was written by fixed-rank hooi()");
-    RAHOOI_REQUIRE(ck.seed == options.hooi.seed,
-                   "restore: checkpoint seed differs from options.hooi.seed");
-    RAHOOI_REQUIRE(static_cast<int>(ck.factors.size()) == d,
-                   "restore: checkpoint order differs from the tensor");
-    for (int j = 0; j < d; ++j) {
-      RAHOOI_REQUIRE(ck.factors[j].rows() == x.global_dim(j),
-                     "restore: checkpoint dims differ from the tensor");
-    }
-    RAHOOI_REQUIRE(ck.sweeps_done < options.max_iters,
-                   "restore: checkpointed solve already ran max_iters "
-                   "iterations");
+    // restored, and the loop continues at the recorded iteration. Because
+    // the growth seeds are iteration-indexed and the RNG is counter-based,
+    // the remaining iterations replay bitwise identically to the
+    // uninterrupted run.
+    SweepCheckpoint<T> ck = detail::load_resume_checkpoint(
+        options.hooi.restore_path, CheckpointKind::rank_adaptive,
+        options.hooi.seed, x, options.max_iters);
     ranks = ck.ranks;
     factors = std::move(ck.factors);
     start = static_cast<int>(ck.sweeps_done);
@@ -227,66 +201,12 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
 
   for (int iter = start + 1; iter <= options.max_iters; ++iter) {
     prof::TraceSpan iter_span("iteration", static_cast<std::int64_t>(iter));
-    // Cooperative checkpoint-and-yield (serve preemption): rank 0 reads the
-    // scheduler's flag and broadcasts the verdict, so every rank takes the
-    // same exit at the same iteration boundary — the previous iteration's
-    // checkpoint is already on disk and no collective is torn mid-post.
-    if (options.hooi.yield_flag != nullptr) {
-      int yield =
-          (x.grid().world().rank() == 0 &&
-           options.hooi.yield_flag->load(std::memory_order_acquire) != 0)
-              ? 1
-              : 0;
-      x.grid().world().bcast(&yield, 1, 0);
-      if (yield != 0) {
-        throw PreemptedError("rank_adaptive_hooi yielded after iteration " +
-                             std::to_string(iter - 1));
-      }
-    }
+    shell.begin_step("iteration", iter - 1, out.report.fallbacks);
     bool stop = false;
     RaIterationRecord rec;
     rec.index = iter;
     rec.sweep_ranks = ranks;
 
-    // Pre-iteration baselines for the telemetry event's deltas, and the
-    // emitter both exit paths share. The event is a superset of `rec`: the
-    // fig4/6/8 progression benches read their trajectories from the log.
-    const Stats* const st = stats::current();
-    const double flops0 =
-        (mreg != nullptr && st != nullptr) ? st->total_flops() : 0.0;
-    const double bytes0 =
-        (mreg != nullptr && st != nullptr) ? st->total_comm_bytes() : 0.0;
-    const std::uint64_t it_retries0 =
-        mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-    const std::uint64_t it_fallbacks0 = out.report.fallbacks;
-    const auto emit_iteration = [&](const RaIterationRecord& r) {
-      if (mreg == nullptr) return;
-      mreg->count(metrics::Counter::solver_sweeps);
-      metrics::Event ev;
-      ev.solver = "ra";
-      ev.kind = "iteration";
-      ev.sweep = r.index;
-      ev.ranks.assign(r.sweep_ranks.begin(), r.sweep_ranks.end());
-      ev.ranks_after.assign(r.ranks_after.begin(), r.ranks_after.end());
-      ev.rel_error = r.rel_error;
-      ev.rel_error_after = r.rel_error_after;
-      ev.seconds = r.seconds;
-      ev.core_analysis_seconds = r.core_analysis_seconds;
-      if (st != nullptr) {
-        ev.flops = st->total_flops() - flops0;
-        ev.comm_bytes = st->total_comm_bytes() - bytes0;
-      }
-      ev.compressed_size = r.compressed_size;
-      ev.retries =
-          mreg->counter(metrics::Counter::fault_retries) - it_retries0;
-      ev.fallbacks = out.report.fallbacks - it_fallbacks0;
-      ev.llsv_fallback = ev.fallbacks > 0;
-      ev.satisfied = r.satisfied;
-      mreg->add_event(ev);
-    };
-
-    // Solver-level fault site, same semantics as in hooi() (see there).
-    fault::inject_point("sweep", x.grid().world().rank());
     x.grid().world().barrier();
     Stopwatch sweep_clock;
     dist::DistTensor<T> core =
@@ -337,8 +257,6 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
       for (int j = 0; j < d; ++j) {
         factors[j] = factors[j].leading_block(factors[j].rows(), ranks[j]);
       }
-      emit_iteration(rec);
-      out.iterations.push_back(std::move(rec));
       stop = !options.continue_after_satisfied;
     } else {
       std::vector<idx_t> next(d);
@@ -351,7 +269,7 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
             options.tolerance * options.tolerance * out.x_norm_sq / d;
         next = modewise_new_ranks(slice_energies(full_core),
                                   x.global_dims(), core_norm_sq,
-                                  per_mode_budget_sq, options);
+                                  per_mode_budget_sq, options.growth_factor);
       } else {
         // Alg. 3 line 9: grow all ranks by alpha (clamped to the dims).
         for (int j = 0; j < d; ++j) {
@@ -384,9 +302,23 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
         sz += x.global_dim(j) * rec.sweep_ranks[j];
       }
       rec.compressed_size = sz;
-      emit_iteration(rec);
-      out.iterations.push_back(std::move(rec));
     }
+
+    // The iteration's telemetry event, a superset of `rec`: the fig4/6/8
+    // progression benches read their trajectories from the log.
+    metrics::Event ev;
+    ev.kind = "iteration";
+    ev.sweep = rec.index;
+    ev.ranks.assign(rec.sweep_ranks.begin(), rec.sweep_ranks.end());
+    ev.ranks_after.assign(rec.ranks_after.begin(), rec.ranks_after.end());
+    ev.rel_error = rec.rel_error;
+    ev.rel_error_after = rec.rel_error_after;
+    ev.seconds = rec.seconds;
+    ev.core_analysis_seconds = rec.core_analysis_seconds;
+    ev.compressed_size = rec.compressed_size;
+    ev.satisfied = rec.satisfied;
+    shell.emit(std::move(ev), out.report.fallbacks);
+    out.iterations.push_back(std::move(rec));
 
     if (!options.hooi.checkpoint_path.empty() &&
         x.grid().world().rank() == 0) {
@@ -429,12 +361,7 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
     out.tucker.core = core.allgather_full();
     out.tucker.factors = factors;
   }
-  if (mreg != nullptr) {
-    out.report.retries =
-        mreg->counter(metrics::Counter::fault_retries) - retries0;
-    out.report.metrics_snapshot = metrics::snapshot(*mreg);
-  }
-  out.report.trace_id = obs::trace_id();
+  shell.finish(out.report);
   return out;
 }
 

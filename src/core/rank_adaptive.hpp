@@ -48,19 +48,6 @@ struct RankAdaptiveResult {
   /// Degradation events (numerical fallbacks taken mid-solve); empty for a
   /// clean solve. See core/solve_report.hpp.
   SolveReport report;
-
-  /// This rank's span trace, present when RankAdaptiveOptions::hooi.profile
-  /// asked rank_adaptive_hooi() to install its own Recorder (null when
-  /// profiling was off or a Recorder was already installed).
-  std::shared_ptr<prof::Recorder> trace;
-
-  /// This rank's metrics registry, present when
-  /// RankAdaptiveOptions::hooi.metrics asked rank_adaptive_hooi() to install
-  /// its own Registry (null when metrics were off or a Registry was already
-  /// installed). One "iteration" telemetry event is logged per RA iteration
-  /// — a superset of RaIterationRecord, so the progression plots can be
-  /// rebuilt from the event log alone.
-  std::shared_ptr<metrics::Registry> metrics;
 };
 
 template <typename T>

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "metrics/metrics.hpp"
+#include "core/solver_shell.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -48,13 +48,8 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
   prof::TraceSpan root("sthosvd", Phase::other);
   // Telemetry baselines: one "solve" event summarizes the whole run (the
   // registry being installed is the knob; there is no options struct here).
-  metrics::Registry* const mreg = metrics::registry();
-  const Stats* const st = stats::current();
-  const double flops0 =
-      (mreg != nullptr && st != nullptr) ? st->total_flops() : 0.0;
-  const double bytes0 =
-      (mreg != nullptr && st != nullptr) ? st->total_comm_bytes() : 0.0;
-  const double t0 = mreg != nullptr ? stats::now() : 0.0;
+  detail::SolverShell shell(x.grid().world(), "sthosvd");
+  shell.mark(0);
   TuckerResult<T> out;
   out.x_norm_sq = x.norm_squared();
   const double tau_sq = eps * eps * out.x_norm_sq / d;
@@ -95,20 +90,13 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
   }
   out.core_norm_sq = y.norm_squared();
   out.core = std::move(y);
-  if (mreg != nullptr) {
-    metrics::Event ev;
-    ev.solver = "sthosvd";
-    ev.kind = "solve";
-    ev.rel_error = out.relative_error();
-    for (const auto& u : out.factors) ev.ranks_after.push_back(u.cols());
-    ev.seconds = stats::now() - t0;
-    if (st != nullptr) {
-      ev.flops = st->total_flops() - flops0;
-      ev.comm_bytes = st->total_comm_bytes() - bytes0;
-    }
-    ev.compressed_size = out.compressed_size();
-    mreg->add_event(ev);
-  }
+  metrics::Event ev;
+  ev.kind = "solve";
+  ev.rel_error = out.relative_error();
+  for (const auto& u : out.factors) ev.ranks_after.push_back(u.cols());
+  ev.seconds = shell.step_seconds();
+  ev.compressed_size = out.compressed_size();
+  shell.emit(std::move(ev), 0);
   return out;
 }
 

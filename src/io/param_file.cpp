@@ -137,7 +137,8 @@ const std::vector<ParamKey>& param_key_table() {
   // Canonical order: result-affecting keys first (the serve cache
   // fingerprint walks the table in this order), then fault/runtime knobs,
   // then pure input/output/reporting switches. Adding a key here is all
-  // that is needed for it to appear in every driver's --help.
+  // that is needed for it to appear in every driver's --help, and for
+  // core::parse_solve_spec to accept it.
   static const std::vector<ParamKey> kTable{
       // -- problem definition (all result-affecting) ----------------------
       {"Global dims", "dims", "(required)", "hooi,sthosvd,serve", true,
@@ -150,11 +151,12 @@ const std::vector<ParamKey>& param_key_table() {
       {"Input file", "string", "", "hooi,sthosvd,serve", true,
        "read the tensor from this file instead of generating it"},
       {"Construction Ranks", "dims", "(= Decomposition Ranks)",
-       "hooi,serve", true, "true ranks of the synthetic input"},
-      {"Decomposition Ranks", "dims", "(required)", "hooi,serve", true,
-       "target ranks (fixed-rank) or starting ranks (rank-adaptive)"},
-      {"Ranks", "dims", "(required)", "sthosvd,serve", true,
-       "STHOSVD truncation ranks (serve: Decomposition Ranks fallback)"},
+       "hooi,sthosvd,serve", true, "true ranks of the synthetic input"},
+      {"Decomposition Ranks", "dims", "(required unless SV Threshold > 0)",
+       "hooi,sthosvd,serve", true,
+       "fixed-rank targets, RA starting ranks, or STHOSVD truncation ranks"},
+      {"Ranks", "dims", "(= Decomposition Ranks)", "hooi,sthosvd,serve",
+       true, "alias of Decomposition Ranks (artifact spelling); not both"},
       {"Noise", "double", "1e-4", "hooi,sthosvd,serve", true,
        "relative noise level of the synthetic input"},
       {"Seed", "int", "1", "hooi,sthosvd,serve", true,
@@ -190,13 +192,13 @@ const std::vector<ParamKey>& param_key_table() {
       {"Perform STHOSVD", "bool", "true", "sthosvd", true,
        "artifact-compatibility switch; must be true"},
       // -- fault injection (result-affecting: bitflip/kill change results) -
-      {"Fault plan", "string", "", "hooi,serve", true,
+      {"Fault plan", "string", "", "hooi,sthosvd,serve", true,
        "deterministic fault injection, e.g. kill:sweep@3%1 "
        "(docs/ROBUSTNESS.md; '%' aliases '#')"},
-      {"Fault seed", "int", "1", "hooi,serve", true,
+      {"Fault seed", "int", "1", "hooi,sthosvd,serve", true,
        "seed of the fault plan's random choices"},
       // -- runtime / robustness knobs (do not change a successful result) --
-      {"Collective timeout ms", "double", "0", "hooi,serve", false,
+      {"Collective timeout ms", "double", "0", "hooi,sthosvd,serve", false,
        "hang-watchdog deadline per collective (0 disables)"},
       {"Checkpoint file", "string", "", "hooi,serve", false,
        "write a checkpoint after every sweep; resume with --restore"},

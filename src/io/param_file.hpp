@@ -21,7 +21,12 @@
 // reads "RA Init" (sketched | random) — see core/options.hpp.
 //
 // Lines are "Key = value(s)"; '#' starts a comment; keys are
-// case-sensitive; whitespace around keys and values is trimmed.
+// case-sensitive; whitespace around keys and values is trimmed. ParamFile
+// itself only stores text: core::parse_solve_spec (core/request.hpp) maps a
+// file to solver options for every driver and the serve scheduler, and
+// rejects any key param_key_table does not list — a misspelled or
+// wrong-case key is an error, not a silently ignored line. "Ranks" is an
+// alias of "Decomposition Ranks"; a file gives one or the other.
 
 #include <map>
 #include <string>
@@ -73,11 +78,11 @@ class ParamFile {
 // ---------------------------------------------------------------------------
 
 /// One accepted parameter-file key. The table below is the single source of
-/// truth shared by (a) the drivers' --help output (param_help), and (b) the
+/// truth shared by (a) the drivers' --help output (param_help), (b) the
 /// serving layer's result-cache fingerprint (serve::request_fingerprint
-/// hashes exactly the keys with `cache_key` set, in table order) — so the
-/// help text and the cache keying can never drift from each other or from
-/// the accepted keys.
+/// hashes exactly the keys with `cache_key` set, in table order), and (c)
+/// the set of keys core::parse_solve_spec accepts — so the help text, the
+/// cache keying and the accepted keys can never drift apart.
 struct ParamKey {
   const char* key;       ///< exact parameter-file key (case-sensitive)
   const char* type;      ///< "bool", "int", "double", "dims", "ints", "string"

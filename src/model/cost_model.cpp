@@ -255,15 +255,6 @@ double predict_sketch_llsv_words(double n, double s, double p) {
   return 2.0 * n * s * (p - 1.0) / p;
 }
 
-const char* llsv_backend_name(LlsvBackend b) {
-  switch (b) {
-    case LlsvBackend::gram_evd: return "gram_evd";
-    case LlsvBackend::subspace_iteration: return "subspace_iteration";
-    case LlsvBackend::sketch: return "sketch";
-  }
-  return "?";
-}
-
 LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
                               bool warm_start, const MachineRates& m) {
   RAHOOI_REQUIRE(prob.d >= 1 && prob.n >= 1 && prob.r >= 1 && oversample >= 1,

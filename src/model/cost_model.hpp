@@ -141,8 +141,6 @@ double predict_sketch_llsv_words(double n, double s, double p);
 /// KRP variant only cheapens Omega *generation*, a lower-order term).
 enum class LlsvBackend { gram_evd, subspace_iteration, sketch };
 
-const char* llsv_backend_name(LlsvBackend b);
-
 /// Picks the cheapest LLSV backend for one mode of a cubical problem by
 /// modeled per-mode time (K = n^(d-1) fibers):
 ///  * gram_evd: n^2 K / P flops + 9 n^3 sequential EVD + 2 n^2 (P-1)/P words

@@ -15,11 +15,7 @@
 #include "comm/errors.hpp"
 #include "comm/runtime.hpp"
 #include "core/checkpoint.hpp"
-#include "core/rank_adaptive.hpp"
-#include "data/science.hpp"
-#include "data/synthetic.hpp"
 #include "fault/fault.hpp"
-#include "io/tensor_io.hpp"
 #include "model/cost_model.hpp"
 
 namespace rahooi::serve {
@@ -33,82 +29,6 @@ namespace {
 /// gains nothing from extra ranks but would still crowd out its neighbors.
 constexpr double kWorldSpawnSeconds = 2e-4;
 
-/// Mirrors examples/driver_common.hpp make_input for the serve job runner
-/// (library code cannot include the examples headers).
-template <typename T>
-dist::DistTensor<T> make_input(const io::ParamFile& params,
-                               const dist::ProcessorGrid& grid,
-                               const std::vector<idx_t>& dims,
-                               const std::vector<idx_t>& ranks) {
-  const std::string dataset = params.get_string("Dataset", "synthetic");
-  const auto seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
-  if (params.has("Input file")) {
-    return io::read_dist_tensor<T>(grid, dims,
-                                   params.get_string("Input file"));
-  }
-  if (dataset == "synthetic") {
-    const double noise = params.get_double("Noise", 1e-4);
-    return data::synthetic_tucker<T>(grid, dims, ranks, noise, seed);
-  }
-  if (dataset == "miranda") {
-    RAHOOI_REQUIRE(dims.size() == 3, "miranda dataset is 3-way");
-    return data::miranda_like<T>(grid, dims[0], seed);
-  }
-  if (dataset == "hcci") {
-    RAHOOI_REQUIRE(dims.size() == 4, "hcci dataset is 4-way");
-    return data::hcci_like<T>(grid, dims[0], dims[1], dims[2], dims[3], seed);
-  }
-  if (dataset == "sp") {
-    RAHOOI_REQUIRE(dims.size() == 5, "sp dataset is 5-way");
-    return data::sp_like<T>(grid, dims[0], dims[1], dims[2], dims[3], dims[4],
-                            seed);
-  }
-  throw precondition_error("unknown Dataset: " + dataset);
-}
-
-/// Solver options from the request parameters — the same mapping as
-/// examples/hooi_driver.cpp, minus the terminal output.
-core::HooiOptions hooi_options_from(const io::ParamFile& params,
-                                    const std::vector<idx_t>& dims,
-                                    const std::vector<idx_t>& decomposition,
-                                    const std::vector<int>& gdims,
-                                    double pool_timeout_s) {
-  core::HooiOptions o;
-  o.use_dimension_tree = params.get_bool("Dimension Tree Memoization", false);
-  o.max_iters = static_cast<int>(params.get_int("HOOI max iters", 2));
-  o.sketch.oversample = params.get_int("Sketch Oversample", 8);
-  o.sketch.min_cols = params.get_int("Sketch Min Cols", 16);
-  o.sketch.growth = params.get_double("Sketch Growth", 2.0);
-  o.sketch.safety = params.get_double("Sketch Safety", 0.5);
-  o.sketch.deterministic = params.get_bool("Sketch Deterministic", false);
-  long long svd_method = params.get_int("SVD Method", 0);
-  if (svd_method == -1) {
-    model::Problem prob;
-    prob.d = static_cast<int>(dims.size());
-    for (const auto v : dims) prob.n = std::max(prob.n, double(v));
-    for (const auto v : decomposition) prob.r = std::max(prob.r, double(v));
-    prob.iters = o.max_iters;
-    prob.grid = gdims;
-    switch (model::pick_llsv_backend(prob, o.sketch.oversample,
-                                     /*warm_start=*/true)) {
-      case model::LlsvBackend::gram_evd: svd_method = 0; break;
-      case model::LlsvBackend::subspace_iteration: svd_method = 2; break;
-      case model::LlsvBackend::sketch: svd_method = 3; break;
-    }
-  }
-  RAHOOI_REQUIRE(svd_method >= 0 && svd_method <= 4,
-                 "'SVD Method' must be in [0, 4] or -1 (auto)");
-  o.svd_method = static_cast<core::SvdMethod>(svd_method);
-  o.seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
-  // The pool-level watchdog and the per-request one compose as the larger
-  // deadline: the request knows its solve, the operator knows the pool.
-  o.collective_timeout_ms =
-      std::max(params.get_double("Collective timeout ms", 0.0),
-               pool_timeout_s * 1000.0);
-  o.checkpoint_path = params.get_string("Checkpoint file", "");
-  return o;
-}
-
 /// True when `path` names a readable file — how the dispatcher decides
 /// whether a retrying/preempted job has a checkpoint to resume from.
 bool file_exists(const std::string& path) {
@@ -116,123 +36,46 @@ bool file_exists(const std::string& path) {
   return f.good();
 }
 
-/// Everything a solve attempt needs beyond the request itself: the pool's
-/// knobs plus the job's resilience plumbing (job-scoped fault plan,
-/// checkpoint/restore paths, cooperative yield flag).
-struct AttemptConfig {
-  double pool_timeout_s = 0.0;
-  int comm_check = -1;
-  const fault::Plan* fault_plan = nullptr;  ///< scoped to this job's world
-  std::string checkpoint_path;  ///< "" = no periodic checkpointing
-  std::string restore_path;     ///< "" = fresh start
-  const std::atomic<int>* yield_flag = nullptr;
-  std::uint64_t trace_id = 0;   ///< job's trace context (RunOptions::trace_id)
-};
-
 /// Runs one solve attempt for a dispatched job inside its own
-/// Runtime::run world and fills the result fields of job.report. Throws on
+/// Runtime::run world and fills the result fields of `rep`. Throws on
 /// failure (the caller classifies it) — but a world is always fully joined
 /// before the exception reaches us, so no rank is ever left parked.
 template <typename T>
-void run_typed(Scheduler::JobId, SolveRequest& req, RankPlan& plan,
-               SolveReport& rep, const AttemptConfig& cfg) {
-  const io::ParamFile& params = req.params;
-  const auto dims = params.get_dims("Global dims");
-  auto decomposition = params.get_dims("Decomposition Ranks");
-  if (decomposition.empty()) decomposition = params.get_dims("Ranks");
-  auto construction = params.get_dims("Construction Ranks");
-  RAHOOI_REQUIRE(!dims.empty(), "'Global dims' is required");
-  RAHOOI_REQUIRE(!decomposition.empty(),
-                 "'Decomposition Ranks' (or 'Ranks') is required");
-  if (construction.empty()) construction = decomposition;
-
-  core::HooiOptions hooi_opts = hooi_options_from(
-      params, dims, decomposition, plan.grid, cfg.pool_timeout_s);
-  const double adapt = params.get_double("HOOI-Adapt Threshold", 0.0);
-  if (!cfg.checkpoint_path.empty()) {
-    hooi_opts.checkpoint_path = cfg.checkpoint_path;
-  }
-  hooi_opts.restore_path = cfg.restore_path;
-  hooi_opts.yield_flag = cfg.yield_flag;
-
+void run_typed(const core::SolveSpec& spec, int p, SolveReport& rep,
+               comm::RunOptions ro) {
   auto result = std::make_shared<JobResult>();
   result->single = std::is_same_v<T, float>;
-
-  comm::RunOptions ro;
-  ro.comm_check = cfg.comm_check;
-  // Job-scoped fault injection: the job's plan rides RunOptions::fault_plan
-  // into the rank threads of *this* world only, so a concurrent neighbor
-  // job can never match its rules (the process-wide ScopedPlan caveat of
-  // DESIGN.md §13, now closed). The Plan is owned by the Job and shared
-  // across attempts, so rule counters persist through retries.
-  ro.fault_plan = cfg.fault_plan;
-  ro.trace_id = cfg.trace_id;
   // Failure capture: when this attempt's world dies, every rank's flight
-  // timeline lands in `failures` and the guard below moves them onto the
-  // report while the exception unwinds through us — the post-mortem "what
-  // was each rank doing" view (docs/OBSERVABILITY.md). A clean attempt
-  // leaves `failures` empty and the report untouched, so the timelines of
-  // the last absorbed fault survive a successful retry.
+  // timeline lands in `failures` and moves onto the report before the
+  // exception goes on — the post-mortem "what was each rank doing" view
+  // (docs/OBSERVABILITY.md). A clean attempt leaves the report untouched,
+  // so the timelines of the last absorbed fault survive a successful retry.
   std::vector<comm::RankFailure> failures;
   ro.failures = &failures;
-  struct FlightCapture {
-    std::vector<comm::RankFailure>& failures;
-    SolveReport& rep;
-    ~FlightCapture() {
-      if (failures.empty()) return;
-      rep.flight.clear();
-      rep.flight.reserve(failures.size());
-      for (comm::RankFailure& f : failures) {
-        rep.flight.push_back(std::move(f.flight));
-      }
+  try {
+    comm::Runtime::run(
+        p,
+        [&](comm::Comm& world) {
+          core::SolveOutput<T> out = core::solve<T>(spec, world);
+          if (world.rank() != 0) return;
+          rep.tucker_ranks = out.tucker.ranks();
+          rep.rel_error = out.rel_error;
+          rep.compressed_size = out.compressed_size;
+          rep.solve = std::move(out.report);
+          if constexpr (std::is_same_v<T, float>) {
+            result->tucker_f = std::move(out.tucker);
+          } else {
+            result->tucker_d = std::move(out.tucker);
+          }
+        },
+        nullptr, nullptr, ro);
+  } catch (...) {
+    if (!failures.empty()) rep.flight.clear();
+    for (comm::RankFailure& f : failures) {
+      rep.flight.push_back(std::move(f.flight));
     }
-  } capture{failures, rep};
-  comm::Runtime::run(
-      plan.p,
-      [&](comm::Comm& world) {
-        dist::ProcessorGrid grid(world, plan.grid);
-        auto x = make_input<T>(params, grid, dims, construction);
-        world.barrier();
-        if (adapt > 0.0) {
-          core::RankAdaptiveOptions opt;
-          opt.hooi = hooi_opts;
-          opt.tolerance = adapt;
-          opt.max_iters = hooi_opts.max_iters;
-          opt.growth_factor = params.get_double("Rank growth factor", 1.5);
-          const std::string init = params.get_string("RA Init", "random");
-          RAHOOI_REQUIRE(init == "sketched" || init == "random",
-                         "'RA Init' must be 'sketched' or 'random'");
-          opt.init = init == "random" ? core::RaInit::random_factors
-                                      : core::RaInit::sketched_sthosvd;
-          auto res = core::rank_adaptive_hooi(x, decomposition, opt);
-          if (world.rank() == 0) {
-            rep.tucker_ranks = res.tucker.ranks();
-            rep.rel_error = res.rel_error;
-            rep.compressed_size = res.compressed_size;
-            rep.solve = std::move(res.report);
-            if constexpr (std::is_same_v<T, float>) {
-              result->tucker_f = std::move(res.tucker);
-            } else {
-              result->tucker_d = std::move(res.tucker);
-            }
-          }
-        } else {
-          auto res = core::hooi(x, decomposition, hooi_opts);
-          auto tucker = res.decomposition.replicated();  // collective
-          if (world.rank() == 0) {
-            rep.tucker_ranks = tucker.ranks();
-            rep.rel_error = res.decomposition.relative_error();
-            rep.compressed_size = tucker.compressed_size();
-            rep.solve = std::move(res.report);
-            if constexpr (std::is_same_v<T, float>) {
-              result->tucker_f = std::move(tucker);
-            } else {
-              result->tucker_d = std::move(tucker);
-            }
-          }
-        }
-      },
-      nullptr, nullptr, ro);
+    throw;
+  }
   rep.result = std::move(result);
 }
 
@@ -266,26 +109,17 @@ const char* outcome_name(Outcome o) {
   return "unknown";
 }
 
-RankPlan plan_ranks(const io::ParamFile& params, int pool_ranks) {
+RankPlan plan_ranks(const core::SolveSpec& spec, int pool_ranks) {
   RAHOOI_REQUIRE(pool_ranks >= 1, "serve pool must own at least one rank");
-  const auto dims = params.get_dims("Global dims");
-  RAHOOI_REQUIRE(!dims.empty(), "'Global dims' is required");
-  const int d = static_cast<int>(dims.size());
-
-  const auto gdims = params.get_ints("Processor grid dims");
-  if (!gdims.empty()) {
-    RAHOOI_REQUIRE(static_cast<int>(gdims.size()) == d,
-                   "'Processor grid dims' order must match 'Global dims'");
+  const int d = static_cast<int>(spec.dims.size());
+  if (!spec.grid.empty()) {  // shape checked by core::parse_solve_spec
     int p = 1;
-    for (const int g : gdims) {
-      RAHOOI_REQUIRE(g >= 1, "'Processor grid dims' must be positive");
-      p *= g;
-    }
+    for (const int g : spec.grid) p *= g;
     RAHOOI_REQUIRE(p <= pool_ranks,
                    "requested grid needs " + std::to_string(p) +
                        " ranks but the serve pool owns only " +
                        std::to_string(pool_ranks));
-    return RankPlan{p, gdims, /*elastic=*/false};
+    return RankPlan{p, spec.grid, /*elastic=*/false};
   }
 
   // Elastic sizing: model every power-of-two world size up to the pool,
@@ -295,15 +129,13 @@ RankPlan plan_ranks(const io::ParamFile& params, int pool_ranks) {
   // exhausted, and leftover ranks serve the next tenant.
   model::Problem prob;
   prob.d = d;
-  for (const auto v : dims) prob.n = std::max(prob.n, double(v));
-  auto ranks = params.get_dims("Decomposition Ranks");
-  if (ranks.empty()) ranks = params.get_dims("Ranks");
-  for (const auto v : ranks) prob.r = std::max(prob.r, double(v));
-  if (prob.r <= 0.0) prob.r = std::max(1.0, prob.n / 8.0);
-  prob.iters = static_cast<int>(params.get_int("HOOI max iters", 2));
+  for (const auto v : spec.dims) prob.n = std::max(prob.n, double(v));
+  for (const auto v : spec.decomposition) prob.r = std::max(prob.r, double(v));
+  prob.iters = spec.ra.hooi.max_iters;
 
-  const bool tree = params.get_bool("Dimension Tree Memoization", false);
-  const bool subspace = params.get_int("SVD Method", 0) != 0;
+  const bool tree = spec.ra.hooi.use_dimension_tree;
+  const bool subspace =
+      spec.auto_llsv || spec.ra.hooi.svd_method != core::SvdMethod::gram_evd;
   const model::Algorithm algo =
       tree ? (subspace ? model::Algorithm::hosi_dt : model::Algorithm::hooi_dt)
            : (subspace ? model::Algorithm::hosi : model::Algorithm::hooi);
@@ -404,6 +236,7 @@ Scheduler::JobId Scheduler::submit(SolveRequest req) {
 
   try {
     const io::ParamFile& params = job->req.params;
+    job->spec = core::parse_solve_spec(params);
     if (params.has("Serve priority")) {
       job->req.priority =
           priority_from_name(params.get_string("Serve priority"));
@@ -412,8 +245,9 @@ Scheduler::JobId Scheduler::submit(SolveRequest req) {
         params.get_double("Serve deadline s", job->req.deadline_s);
     RAHOOI_REQUIRE(job->deadline_s >= 0.0,
                    "'Serve deadline s' must be >= 0");
-    job->plan = plan_ranks(params, options_.pool_ranks);
+    job->plan = plan_ranks(job->spec, options_.pool_ranks);
     if (job->plan.elastic) {
+      core::set_grid(job->spec, job->plan.grid);
       // Canonicalize the chosen grid into the params so the fingerprint of
       // an elastic request matches an explicit request for the same grid.
       std::string joined;
@@ -434,7 +268,7 @@ Scheduler::JobId Scheduler::submit(SolveRequest req) {
         "'Serve retry backoff ms' / 'Serve retry jitter ms' must be >= 0");
     job->keep_checkpoint = options_.keep_checkpoints ||
                            params.get_bool("Serve keep checkpoint", false);
-    job->checkpoint_path = params.get_string("Checkpoint file", "");
+    job->checkpoint_path = job->spec.ra.hooi.checkpoint_path;
     if (job->checkpoint_path.empty() && !options_.checkpoint_dir.empty()) {
       job->checkpoint_path = options_.checkpoint_dir + "/job-" +
                              std::to_string(id) + ".rhk";
@@ -674,27 +508,35 @@ Scheduler::RunStatus Scheduler::run_job(Job& job, bool restore) {
     // Parse the job's fault plan once (first attempt), not once per
     // attempt: the shared rule counters make "kill:sweep@1%1" fire exactly
     // once, so the retry of that job survives the sweep that killed it.
-    const std::string fault_spec =
-        job.req.params.get_string("Fault plan", "");
-    if (!fault_spec.empty() && !job.fault_plan.has_value()) {
-      job.fault_plan.emplace(fault::Plan::parse(
-          fault_spec,
-          static_cast<std::uint64_t>(job.req.params.get_int("Fault seed", 1))));
+    if (!job.spec.fault_plan.empty() && !job.fault_plan.has_value()) {
+      job.fault_plan.emplace(
+          fault::Plan::parse(job.spec.fault_plan, job.spec.fault_seed));
     }
 
-    AttemptConfig cfg;
-    cfg.pool_timeout_s = options_.collective_timeout_s;
-    cfg.comm_check = options_.comm_check;
-    cfg.fault_plan = job.fault_plan.has_value() ? &*job.fault_plan : nullptr;
-    cfg.checkpoint_path = job.checkpoint_path;
-    if (restore) cfg.restore_path = job.checkpoint_path;
-    cfg.yield_flag = job.yield.get();
-    cfg.trace_id = job.trace_id;
+    core::SolveSpec spec = job.spec;
+    spec.ra.hooi.checkpoint_path = job.checkpoint_path;
+    if (restore) spec.ra.hooi.restore_path = job.checkpoint_path;
+    spec.ra.hooi.yield_flag = job.yield.get();
 
-    if (job.req.params.get_bool("Single precision", true)) {
-      run_typed<float>(job.id, job.req, job.plan, r, cfg);
+    comm::RunOptions ro;
+    // The pool-level watchdog and the per-request one compose as the
+    // larger deadline: the request knows its solve, the operator knows the
+    // pool.
+    ro.collective_timeout_s =
+        core::collective_timeout_s(spec, options_.collective_timeout_s);
+    ro.comm_check = options_.comm_check;
+    // Job-scoped fault injection: the job's plan rides RunOptions::fault_plan
+    // into the rank threads of *this* world only, so a concurrent neighbor
+    // job can never match its rules (the process-wide ScopedPlan caveat of
+    // DESIGN.md §13, now closed). The Plan is owned by the Job and shared
+    // across attempts, so rule counters persist through retries.
+    ro.fault_plan = job.fault_plan.has_value() ? &*job.fault_plan : nullptr;
+    ro.trace_id = job.trace_id;
+
+    if (spec.single) {
+      run_typed<float>(spec, job.plan.p, r, ro);
     } else {
-      run_typed<double>(job.id, job.req, job.plan, r, cfg);
+      run_typed<double>(spec, job.plan.p, r, ro);
     }
     r.outcome = Outcome::completed;
     r.error.clear();  // forget the transient failures the retries absorbed

@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/request.hpp"
 #include "core/solve_report.hpp"
 #include "fault/fault.hpp"
 #include "io/param_file.hpp"
@@ -173,15 +174,15 @@ struct RankPlan {
   bool elastic = false;  ///< true when the cost model chose the grid
 };
 
-/// Chooses the job's world size and grid. A request carrying "Processor
-/// grid dims" gets exactly that grid (rejected when it needs more ranks
+/// Chooses the job's world size and grid from its parsed spec. A request
+/// carrying "Processor grid dims" gets exactly that grid (rejected when it needs more ranks
 /// than the pool owns). Otherwise the model:: cost machinery evaluates the
 /// power-of-two world sizes up to `pool_ranks` — best grid per size, the
 /// roofline runtime model, plus a per-rank world-spawn overhead term — and
 /// picks the *smallest* world within 15% of the fastest, so small jobs
 /// leave ranks free for neighbors (multi-tenancy beats the last few percent
 /// of one job's speedup).
-RankPlan plan_ranks(const io::ParamFile& params, int pool_ranks);
+RankPlan plan_ranks(const core::SolveSpec& spec, int pool_ranks);
 
 /// FNV-1a fingerprint of the result-affecting parameters: walks
 /// io::param_key_table in order and hashes every present key with
@@ -263,6 +264,7 @@ class Scheduler {
   struct Job {
     JobId id = 0;
     SolveRequest req;
+    core::SolveSpec spec;  ///< req.params parsed once, at submit
     RankPlan plan;
     double submit_time = 0.0;
     double deadline_s = 0.0;

@@ -19,6 +19,8 @@
 #include "comm/runtime.hpp"
 #include "core/checkpoint.hpp"
 #include "core/hooi.hpp"
+#include "core/rank_adaptive.hpp"
+#include "obs/flight_recorder.hpp"
 #include "dist/sketch.hpp"
 #include "la/eig.hpp"
 #include "test_util.hpp"
@@ -430,9 +432,6 @@ TEST(Degradation, ValidateRejectsBadOptions) {
   h.convergence_tol = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(core::validate(h), precondition_error);
   h = {};
-  h.collective_timeout_ms = -1.0;
-  EXPECT_THROW(core::validate(h), precondition_error);
-  h = {};
   EXPECT_NO_THROW(core::validate(h));
 
   core::RankAdaptiveOptions ra;
@@ -651,6 +650,61 @@ TEST(Checkpoint, RestoreRejectsMismatchedConfiguration) {
     EXPECT_EQ(res.iterations, 4);
   });
   std::remove(ck_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Cooperative preemption
+// ---------------------------------------------------------------------------
+
+TEST(Preemption, PresetYieldFlagLeavesOneYieldRecordPerRank) {
+  // Both solver loops share one yield point: with the flag already raised,
+  // every rank agrees (rank 0's broadcast verdict) to throw PreemptedError
+  // at the first boundary, and each rank's post-mortem flight timeline
+  // shows exactly one `yield` record.
+  auto x = random_tensor<double>({8, 8, 8}, 77);
+  const std::atomic<int> flag{1};
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "rank_adaptive_hooi" : "hooi");
+    std::vector<comm::RankFailure> failures;
+    comm::RunOptions ro;
+    ro.failures = &failures;
+    std::atomic<int> preempted{0};
+    EXPECT_THROW(
+        comm::Runtime::run(
+            2,
+            [&](comm::Comm& world) {
+              dist::ProcessorGrid grid(world, {1, 1, 2});
+              auto xd = dist::DistTensor<double>::generate(
+                  grid, x.dims(),
+                  [&x](const std::vector<la::idx_t>& g) { return x.at(g); });
+              const std::vector<la::idx_t> ranks{2, 2, 2};
+              try {
+                if (adaptive) {
+                  core::RankAdaptiveOptions o;
+                  o.hooi.yield_flag = &flag;
+                  (void)core::rank_adaptive_hooi(xd, ranks, o);
+                } else {
+                  core::HooiOptions o;
+                  o.yield_flag = &flag;
+                  (void)core::hooi(xd, ranks, o);
+                }
+              } catch (const core::PreemptedError&) {
+                ++preempted;
+                throw;
+              }
+            },
+            nullptr, nullptr, ro),
+        core::PreemptedError);
+    EXPECT_EQ(preempted.load(), 2);
+    ASSERT_EQ(failures.size(), 2u);
+    for (const comm::RankFailure& f : failures) {
+      int yields = 0;
+      for (const obs::Record& rec : f.flight.records) {
+        if (rec.kind == obs::RecordKind::yield) ++yields;
+      }
+      EXPECT_EQ(yields, 1) << "rank " << f.rank;
+    }
+  }
 }
 
 }  // namespace

@@ -47,31 +47,33 @@ serve::ServeOptions checked_options() {
 // ---------------------------------------------------------------------------
 
 TEST(ServePlan, ExplicitGridIsRespected) {
-  const serve::RankPlan plan = serve::plan_ranks(make_params("1 2 2", ""), 8);
+  const serve::RankPlan plan =
+      serve::plan_ranks(core::parse_solve_spec(make_params("1 2 2", "")), 8);
   EXPECT_EQ(plan.p, 4);
   EXPECT_FALSE(plan.elastic);
   EXPECT_EQ(plan.grid, (std::vector<int>{1, 2, 2}));
 }
 
 TEST(ServePlan, GridBeyondPoolIsRejected) {
-  EXPECT_THROW(serve::plan_ranks(make_params("2 2 2", ""), 4),
-               precondition_error);
+  EXPECT_THROW(
+      serve::plan_ranks(core::parse_solve_spec(make_params("2 2 2", "")), 4),
+      precondition_error);
 }
 
 TEST(ServePlan, TinyJobStaysSmall) {
   // An 8^3 rank-2 solve gains nothing from extra ranks once the per-rank
   // world-spawn overhead is charged; the planner must keep it at p = 1.
-  io::ParamFile params = io::ParamFile::parse(
-      "Global dims = 8 8 8\nDecomposition Ranks = 2 2 2\n");
-  const serve::RankPlan plan = serve::plan_ranks(params, 8);
+  const core::SolveSpec spec = core::parse_solve_spec(io::ParamFile::parse(
+      "Global dims = 8 8 8\nDecomposition Ranks = 2 2 2\n"));
+  const serve::RankPlan plan = serve::plan_ranks(spec, 8);
   EXPECT_TRUE(plan.elastic);
   EXPECT_EQ(plan.p, 1);
 }
 
 TEST(ServePlan, LargeJobScalesOut) {
-  io::ParamFile params = io::ParamFile::parse(
-      "Global dims = 256 256 256\nDecomposition Ranks = 32 32 32\n");
-  const serve::RankPlan plan = serve::plan_ranks(params, 8);
+  const core::SolveSpec spec = core::parse_solve_spec(io::ParamFile::parse(
+      "Global dims = 256 256 256\nDecomposition Ranks = 32 32 32\n"));
+  const serve::RankPlan plan = serve::plan_ranks(spec, 8);
   EXPECT_TRUE(plan.elastic);
   EXPECT_GE(plan.p, 4);
   int product = 1;
