@@ -528,8 +528,9 @@ void BM_HooiSweep(benchmark::State& state) {
     o.use_dimension_tree = tree;
     o.svd_method = si ? core::SvdMethod::subspace_iteration
                       : core::SvdMethod::gram_evd;
+    core::SolveReport report;
     for (auto _ : state) {
-      auto core_t = core::hooi_sweep(x, factors, {4, 4, 4, 4}, o);
+      auto core_t = core::hooi_sweep(x, factors, {4, 4, 4, 4}, o, 0, report);
       benchmark::DoNotOptimize(core_t.local().data());
     }
   });

@@ -15,13 +15,15 @@ int main() {
   std::printf("%s\n", tree.to_string().c_str());
   std::printf("TTMs per HOOI sweep with memoization: %d\n",
               tree.ttm_count());
-  std::printf("TTMs per direct HOOI sweep (d*(d-1)): %d\n", 6 * 5);
+  std::printf("TTMs per direct HOOI sweep (d*(d-1)): %d\n",
+              core::build_direct_tree(6).ttm_count());
 
   std::printf("\nTTM counts across orders (tree vs direct):\n");
   std::printf("  %3s  %6s  %7s\n", "d", "tree", "direct");
   for (int d = 2; d <= 10; ++d) {
     std::printf("  %3d  %6d  %7d\n", d,
-                core::build_dimension_tree(d).ttm_count(), d * (d - 1));
+                core::build_dimension_tree(d).ttm_count(),
+                core::build_direct_tree(d).ttm_count());
   }
   return 0;
 }

@@ -8,11 +8,23 @@ namespace rahooi::core {
 
 namespace {
 
+std::vector<int> all_modes(int d) {
+  RAHOOI_REQUIRE(d >= 1, "dimension tree needs at least one mode");
+  std::vector<int> all(d);
+  for (int j = 0; j < d; ++j) all[j] = j;
+  return all;
+}
+
+int add_node(DimensionTree& tree, std::vector<int> modes,
+             std::vector<int> edge_ttms) {
+  tree.nodes.push_back(
+      DimensionTreeNode{std::move(modes), std::move(edge_ttms), {}});
+  return static_cast<int>(tree.nodes.size()) - 1;
+}
+
 int build_subtree(DimensionTree& tree, std::vector<int> modes,
                   std::vector<int> edge_ttms) {
-  const int index = static_cast<int>(tree.nodes.size());
-  tree.nodes.push_back(DimensionTreeNode{std::move(modes),
-                                         std::move(edge_ttms), -1, -1});
+  const int index = add_node(tree, std::move(modes), std::move(edge_ttms));
   const std::vector<int>& m = tree.nodes[index].modes;
   if (m.size() == 1) return index;
 
@@ -20,26 +32,19 @@ int build_subtree(DimensionTree& tree, std::vector<int> modes,
   const std::vector<int> mu(m.begin(), m.begin() + half);
   const std::vector<int> eta(m.begin() + half, m.end());
 
-  // Left child keeps mu: the edge applies TTMs in eta, descending (§3.3).
-  std::vector<int> eta_desc(eta.rbegin(), eta.rend());
-  const int left = build_subtree(tree, mu, eta_desc);
-  // Right child keeps eta: the edge applies TTMs in mu, ascending.
+  // First child keeps mu: the edge applies TTMs in eta, descending (§3.3).
+  const int left = build_subtree(tree, mu, {eta.rbegin(), eta.rend()});
+  // Second child keeps eta: the edge applies TTMs in mu, ascending.
   const int right = build_subtree(tree, eta, mu);
-
-  tree.nodes[index].left_child = left;
-  tree.nodes[index].right_child = right;
+  tree.nodes[index].children = {left, right};
   return index;
 }
 
 void collect_leaves(const DimensionTree& tree, int index,
                     std::vector<int>& out) {
   const DimensionTreeNode& node = tree.nodes[index];
-  if (node.is_leaf()) {
-    out.push_back(node.modes[0]);
-    return;
-  }
-  collect_leaves(tree, node.left_child, out);
-  collect_leaves(tree, node.right_child, out);
+  if (node.is_leaf()) out.push_back(node.modes[0]);
+  for (const int c : node.children) collect_leaves(tree, c, out);
 }
 
 void render(const DimensionTree& tree, int index, int depth,
@@ -57,10 +62,7 @@ void render(const DimensionTree& tree, int index, int depth,
   }
   if (node.is_leaf()) os << "  -> LLSV mode " << node.modes[0] + 1;
   os << '\n';
-  if (!node.is_leaf()) {
-    render(tree, node.left_child, depth + 1, os);
-    render(tree, node.right_child, depth + 1, os);
-  }
+  for (const int c : node.children) render(tree, c, depth + 1, os);
 }
 
 }  // namespace
@@ -86,11 +88,21 @@ std::string DimensionTree::to_string() const {
 }
 
 DimensionTree build_dimension_tree(int d) {
-  RAHOOI_REQUIRE(d >= 1, "dimension tree needs at least one mode");
   DimensionTree tree;
-  std::vector<int> all(d);
-  for (int j = 0; j < d; ++j) all[j] = j;
-  build_subtree(tree, all, {});
+  build_subtree(tree, all_modes(d), {});
+  return tree;
+}
+
+DimensionTree build_direct_tree(int d) {
+  DimensionTree tree;
+  add_node(tree, all_modes(d), {});
+  // d = 1: the root is the only leaf (an edge always multiplies a mode).
+  for (int j = 0; d > 1 && j < d; ++j) {
+    std::vector<int> others = tree.nodes[0].modes;
+    others.erase(others.begin() + j);
+    const int leaf = add_node(tree, {j}, std::move(others));
+    tree.nodes[0].children.push_back(leaf);
+  }
   return tree;
 }
 

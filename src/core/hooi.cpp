@@ -37,8 +37,8 @@ namespace {
 // Counts one fallback decision in both ledgers — the SolveReport and the
 // metrics counter — at the same site, so SolveReport::fallbacks and
 // Counter::solver_fallbacks agree exactly over a solve.
-void count_fallback(SolveReport* report) {
-  ++report->fallbacks;
+void count_fallback(SolveReport& report) {
+  ++report.fallbacks;
   if (metrics::Registry* reg = metrics::registry()) {
     reg->count(metrics::Counter::solver_fallbacks);
   }
@@ -55,10 +55,12 @@ la::Matrix<T> leaf_update_primary(const dist::DistTensor<T>& y, int mode,
                                   int sweep_index) {
   switch (options.svd_method) {
     case SvdMethod::subspace_iteration:
+      // One step per LLSV, the paper's §3.4 value: the warm start makes one
+      // step sufficient.
       RAHOOI_REQUIRE(prev.cols() == ranks[mode],
                      "subspace iteration needs a starting factor of the "
                      "requested rank");
-      return llsv_subspace_iteration(y, mode, prev, options.subspace_steps);
+      return llsv_subspace_iteration(y, mode, prev);
     case SvdMethod::randomized: {
       // Cold start: one-power-iteration randomized range finder.
       const CounterRng rng = CounterRng(options.seed)
@@ -69,8 +71,7 @@ la::Matrix<T> leaf_update_primary(const dist::DistTensor<T>& y, int mode,
         sketch.data()[i] = static_cast<T>(rng.normal(i));
       }
       return llsv_subspace_iteration(y, mode,
-                                     la::orthonormalize<T>(sketch.cref()),
-                                     options.subspace_steps);
+                                     la::orthonormalize<T>(sketch.cref()));
     }
     case SvdMethod::gaussian_sketch:
     case SvdMethod::krp_sketch: {
@@ -93,26 +94,19 @@ la::Matrix<T> leaf_update_primary(const dist::DistTensor<T>& y, int mode,
   return llsv_gram(y, mode, ranks[mode]).u;
 }
 
-// Updates factors[mode] from `y`, the all-but-one multi-TTM result. When
-// `report` is non-null, numerical hazards degrade gracefully instead of
-// throwing: the primary method's failure (numerical_error or a non-finite
-// update) falls back to Gram+EVD, whose failure falls back to keeping the
-// previous factor. Collective consistency: every fallback decision is a
-// deterministic function of *replicated* data (the EVD/QRCP run on
-// replicated matrices, and factor updates are replicated), so all ranks
-// take identical branches and the collective schedule stays matched.
+// Updates factors[mode] from `y`, the all-but-one multi-TTM result.
+// Numerical hazards degrade gracefully instead of throwing: the primary
+// method's failure (numerical_error or a non-finite update) falls back to
+// Gram+EVD, whose failure falls back to keeping the previous factor; each
+// step is recorded in `report`. Collective consistency: every fallback
+// decision is a deterministic function of *replicated* data (the EVD/QRCP
+// run on replicated matrices, and factor updates are replicated), so all
+// ranks take identical branches and the collective schedule stays matched.
 template <typename T>
 void leaf_update(const dist::DistTensor<T>& y, int mode,
                  std::vector<la::Matrix<T>>& factors,
                  const std::vector<idx_t>& ranks, const HooiOptions& options,
-                 int sweep_index, SolveReport* report) {
-  if (report == nullptr) {
-    factors[mode] =
-        leaf_update_primary(y, mode, factors[mode], ranks, options,
-                            sweep_index);
-    return;
-  }
-
+                 int sweep_index, SolveReport& report) {
   la::Matrix<T> updated;
   bool ok = false;
   try {
@@ -120,11 +114,11 @@ void leaf_update(const dist::DistTensor<T>& y, int mode,
                                   sweep_index);
     ok = la::all_finite(updated);
     if (!ok) {
-      report->record(sweep_index, mode, "nonfinite_update",
-                     variant_name(options) + " produced a non-finite factor");
+      report.record(sweep_index, mode, "nonfinite_update",
+                    variant_name(options) + " produced a non-finite factor");
     }
   } catch (const numerical_error& e) {
-    report->record(sweep_index, mode, "primary_failed", e.what());
+    report.record(sweep_index, mode, "primary_failed", e.what());
   }
 
   if (!ok && options.svd_method != SvdMethod::gram_evd) {
@@ -134,11 +128,11 @@ void leaf_update(const dist::DistTensor<T>& y, int mode,
     try {
       updated = llsv_gram(y, mode, ranks[mode]).u;
       ok = la::all_finite(updated);
-      report->record(sweep_index, mode, "fallback_gram_evd",
-                     ok ? "recovered via Gram+EVD"
-                        : "Gram+EVD also produced non-finite values");
+      report.record(sweep_index, mode, "fallback_gram_evd",
+                    ok ? "recovered via Gram+EVD"
+                       : "Gram+EVD also produced non-finite values");
     } catch (const numerical_error& e) {
-      report->record(sweep_index, mode, "fallback_gram_evd_failed", e.what());
+      report.record(sweep_index, mode, "fallback_gram_evd_failed", e.what());
     }
   }
 
@@ -152,115 +146,36 @@ void leaf_update(const dist::DistTensor<T>& y, int mode,
   count_fallback(report);
   const idx_t keep = std::min<idx_t>(factors[mode].cols(), ranks[mode]);
   factors[mode] = factors[mode].leading_block(factors[mode].rows(), keep);
-  report->record(sweep_index, mode, "kept_previous_factor",
-                 "all update paths failed; factor unchanged this sweep");
+  report.record(sweep_index, mode, "kept_previous_factor",
+                "all update paths failed; factor unchanged this sweep");
 }
 
-// Direct sweep (Alg. 2): one fresh multi-TTM from X per subiteration.
-template <typename T>
-dist::DistTensor<T> sweep_direct(const dist::DistTensor<T>& x,
-                                 std::vector<la::Matrix<T>>& factors,
-                                 const std::vector<idx_t>& ranks,
-                                 const HooiOptions& options,
-                                 int sweep_index, SolveReport* report) {
-  const int d = x.ndims();
-  dist::DistTensor<T> core;
-  for (int j = 0; j < d; ++j) {
-    prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
-    dist::DistTensor<T> y;
-    {
-      prof::TraceSpan t("multi_ttm", Phase::ttm);
-      const dist::DistTensor<T>* src = &x;
-      for (int i = 0; i < d; ++i) {
-        if (i == j) continue;
-        y = dist::dist_ttm(*src, i, factors[i].cref());
-        src = &y;
-      }
-    }
-    leaf_update(y, j, factors, ranks, options, sweep_index, report);
-    if (j == d - 1) {
-      prof::TraceSpan t("core_ttm", Phase::ttm);
-      core = dist::dist_ttm(y, j, factors[j].cref());
-    }
-  }
-  return core;
-}
-
-// Dimension-tree sweep (Alg. 4). `modes` lists the modes not yet
-// multiplied into `node`; leaves are reached in ascending mode order so the
-// core falls out of the last leaf.
-template <typename T>
-void sweep_tree_recurse(const dist::DistTensor<T>& node,
-                        const std::vector<int>& modes,
-                        std::vector<la::Matrix<T>>& factors,
-                        const std::vector<idx_t>& ranks,
-                        const HooiOptions& options, int sweep_index,
-                        int d, dist::DistTensor<T>& core,
-                        SolveReport* report) {
-  if (modes.size() == 1) {
-    const int m = modes[0];
-    prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(m));
-    leaf_update(node, m, factors, ranks, options, sweep_index, report);
-    if (m == d - 1) {
-      prof::TraceSpan t("core_ttm", Phase::ttm);
-      core = dist::dist_ttm(node, m, factors[m].cref());
-    }
-    return;
-  }
-  const std::size_t half = modes.size() / 2;
-  const std::vector<int> mu(modes.begin(), modes.begin() + half);
-  const std::vector<int> eta(modes.begin() + half, modes.end());
-
-  // Multiply the eta modes (descending: the last-mode TTM is a single large
-  // GEMM in this layout, §3.3) and recurse into the mu leaves.
-  {
-    dist::DistTensor<T> a;
+// Walks one sweep's TTM schedule (core/dimension_tree.hpp) below `index`.
+// `y` is the tensor at that node: X with every mode outside the node's
+// `modes` multiplied in. Each edge's chain is built just before its child
+// is visited and freed before the next child; each leaf calls `leaf(y, m)`
+// with the all-but-mode-m multi-TTM, in ascending mode order.
+template <typename T, typename Leaf>
+void walk(const DimensionTree& tree, int index, const dist::DistTensor<T>& y,
+          const std::vector<la::Matrix<T>>& factors, const Leaf& leaf) {
+  const DimensionTreeNode& node = tree.nodes[index];
+  if (node.is_leaf()) return leaf(y, node.modes[0]);
+  for (const int child : node.children) {
+    dist::DistTensor<T> chain;
     {
       prof::TraceSpan t("tree_ttm", Phase::ttm);
-      // Chain nodes *are* the dimension-tree memo cache: charge their local
-      // blocks to dt_memo so the memo footprint is a gauge of its own (the
-      // leaves' LLSV allocations below stay under dist_tensor).
+      // Chain nodes *are* the sweep's memo cache: charge their local blocks
+      // to dt_memo so the memo footprint is a gauge of its own (the leaves'
+      // LLSV allocations stay under dist_tensor).
       const metrics::MemScopeGuard memo_scope(metrics::MemScope::dt_memo);
-      const dist::DistTensor<T>* src = &node;
-      for (auto it = eta.rbegin(); it != eta.rend(); ++it) {
-        a = dist::dist_ttm(*src, *it, factors[*it].cref());
-        src = &a;
+      const dist::DistTensor<T>* src = &y;
+      for (const int i : tree.nodes[child].ttm_modes) {
+        chain = dist::dist_ttm(*src, i, factors[i].cref());
+        src = &chain;
       }
     }
-    sweep_tree_recurse(a, mu, factors, ranks, options, sweep_index, d,
-                       core, report);
+    walk(tree, child, chain, factors, leaf);
   }
-  // Multiply the mu modes with their freshly-updated factors and recurse
-  // into the eta leaves.
-  {
-    dist::DistTensor<T> b;
-    {
-      prof::TraceSpan t("tree_ttm", Phase::ttm);
-      const metrics::MemScopeGuard memo_scope(metrics::MemScope::dt_memo);
-      const dist::DistTensor<T>* src = &node;
-      for (const int i : mu) {
-        b = dist::dist_ttm(*src, i, factors[i].cref());
-        src = &b;
-      }
-    }
-    sweep_tree_recurse(b, eta, factors, ranks, options, sweep_index, d,
-                       core, report);
-  }
-}
-
-template <typename T>
-dist::DistTensor<T> sweep_tree(const dist::DistTensor<T>& x,
-                               std::vector<la::Matrix<T>>& factors,
-                               const std::vector<idx_t>& ranks,
-                               const HooiOptions& options,
-                               int sweep_index, SolveReport* report) {
-  const int d = x.ndims();
-  std::vector<int> all(d);
-  for (int j = 0; j < d; ++j) all[j] = j;
-  dist::DistTensor<T> core;
-  sweep_tree_recurse(x, all, factors, ranks, options, sweep_index, d,
-                     core, report);
-  return core;
 }
 
 }  // namespace
@@ -270,21 +185,27 @@ dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
                                std::vector<la::Matrix<T>>& factors,
                                const std::vector<idx_t>& ranks,
                                const HooiOptions& options, int sweep_index,
-                               SolveReport* report) {
-  RAHOOI_REQUIRE(static_cast<int>(factors.size()) == x.ndims(),
+                               SolveReport& report) {
+  const int d = x.ndims();
+  RAHOOI_REQUIRE(static_cast<int>(factors.size()) == d,
                  "hooi_sweep: one factor per mode required");
-  RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == x.ndims(),
+  RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == d,
                  "hooi_sweep: one rank per mode required");
   prof::TraceSpan span("sweep", static_cast<std::int64_t>(sweep_index));
-  if (x.ndims() == 1) {
-    // Degenerate single-mode case: HOOI reduces to one LLSV of X itself.
-    leaf_update(x, 0, factors, ranks, options, sweep_index, report);
-    prof::TraceSpan t("core_ttm", Phase::ttm);
-    return dist::dist_ttm(x, 0, factors[0].cref());
-  }
-  return options.use_dimension_tree
-             ? sweep_tree(x, factors, ranks, options, sweep_index, report)
-             : sweep_direct(x, factors, ranks, options, sweep_index, report);
+  const DimensionTree tree = options.use_dimension_tree
+                                 ? build_dimension_tree(d)
+                                 : build_direct_tree(d);
+  // The core falls out of the last leaf (mode d-1).
+  dist::DistTensor<T> core;
+  walk(tree, 0, x, factors, [&](const dist::DistTensor<T>& y, int m) {
+    prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(m));
+    leaf_update(y, m, factors, ranks, options, sweep_index, report);
+    if (m == d - 1) {
+      prof::TraceSpan t("core_ttm", Phase::ttm);
+      core = dist::dist_ttm(y, m, factors[m].cref());
+    }
+  });
+  return core;
 }
 
 template <typename T>
@@ -320,7 +241,7 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
   for (int iter = start; iter < options.max_iters; ++iter) {
     shell.begin_step("sweep", iter, out.report.fallbacks);
     out.decomposition.core = hooi_sweep(x, out.decomposition.factors, ranks,
-                                        options, iter, &out.report);
+                                        options, iter, out.report);
     out.decomposition.core_norm_sq = out.decomposition.core.norm_squared();
     ++out.iterations;
     const double err = out.decomposition.relative_error();
@@ -364,7 +285,7 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
       std::uint64_t);                                                     \
   template dist::DistTensor<T> hooi_sweep<T>(                             \
       const dist::DistTensor<T>&, std::vector<la::Matrix<T>>&,            \
-      const std::vector<idx_t>&, const HooiOptions&, int, SolveReport*);  \
+      const std::vector<idx_t>&, const HooiOptions&, int, SolveReport&);  \
   template HooiResult<T> hooi<T>(const dist::DistTensor<T>&,              \
                                  const std::vector<idx_t>&,               \
                                  const HooiOptions&);

@@ -33,22 +33,21 @@ std::vector<la::Matrix<T>> random_factors(const std::vector<idx_t>& dims,
 
 /// One full HOOI iteration (all d subiterations): updates `factors` in
 /// place and returns the core G = Y x_d U_d^T computed at the last
-/// subiteration. Dispatches on options to the direct (Alg. 2) or
-/// dimension-tree (Alg. 4) sweep and to Gram+EVD or subspace-iteration
-/// LLSV. For subspace iteration, `factors` must already have ranks[j]
-/// orthonormal columns (they are the iteration's starting subspace).
-/// `sweep_index` distinguishes sweeps for the randomized method's fresh
-/// sketches (any value is fine for the other methods). When `report` is
-/// non-null, numerical hazards (non-finite updates, EVD non-convergence)
-/// degrade gracefully — fall back to Gram+EVD, then to keeping the previous
-/// factor — and are recorded there instead of thrown.
+/// subiteration. Walks the direct (Alg. 2) or dimension-tree (Alg. 4) TTM
+/// schedule (core/dimension_tree.hpp) and dispatches to Gram+EVD or
+/// subspace-iteration LLSV. For subspace iteration, `factors` must already
+/// have ranks[j] orthonormal columns (they are the iteration's starting
+/// subspace). `sweep_index` distinguishes sweeps for the randomized
+/// method's fresh sketches (any value is fine for the other methods).
+/// Numerical hazards (non-finite updates, EVD non-convergence) degrade
+/// gracefully — fall back to Gram+EVD, then to keeping the previous factor
+/// — and are recorded in `report` instead of thrown.
 template <typename T>
 dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
                                std::vector<la::Matrix<T>>& factors,
                                const std::vector<idx_t>& ranks,
-                               const HooiOptions& options,
-                               int sweep_index = 0,
-                               SolveReport* report = nullptr);
+                               const HooiOptions& options, int sweep_index,
+                               SolveReport& report);
 
 /// Rank-specified HOOI (Alg. 2): random initialization, `options.max_iters`
 /// sweeps (optionally fewer if convergence_tol is met). Fault-tolerance

@@ -8,8 +8,6 @@ namespace rahooi::core {
 
 void validate(const HooiOptions& o) {
   RAHOOI_REQUIRE(o.max_iters >= 1, "HooiOptions: max_iters must be >= 1");
-  RAHOOI_REQUIRE(o.subspace_steps >= 1,
-                 "HooiOptions: subspace_steps must be >= 1");
   RAHOOI_REQUIRE(std::isfinite(o.convergence_tol) && o.convergence_tol >= 0.0,
                  "HooiOptions: convergence_tol must be finite and >= 0");
   RAHOOI_REQUIRE(o.sketch.oversample >= 1,

@@ -75,11 +75,6 @@ struct HooiOptions {
   SvdMethod svd_method = SvdMethod::gram_evd;
   bool use_dimension_tree = false;  ///< multi-TTM memoization (paper §3.3)
   int max_iters = 2;                ///< paper runs 2 for rank-specified tests
-  /// Subspace-iteration steps per LLSV (§3.4: "in principle, the
-  /// computations could be repeated to improve accuracy"). The paper uses 1
-  /// because the warm start makes one step sufficient; larger values trade
-  /// extra TTM+contraction cost for per-subiteration accuracy.
-  int subspace_steps = 1;
   /// Stop early when the relative error improves by less than this between
   /// sweeps (0 disables early stopping; the paper uses a fixed iteration
   /// count).

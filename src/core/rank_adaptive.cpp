@@ -210,7 +210,7 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
     x.grid().world().barrier();
     Stopwatch sweep_clock;
     dist::DistTensor<T> core =
-        hooi_sweep(x, factors, ranks, options.hooi, iter, &out.report);
+        hooi_sweep(x, factors, ranks, options.hooi, iter, out.report);
     const double core_norm_sq = core.norm_squared();
     x.grid().world().barrier();
     rec.seconds = sweep_clock.elapsed();
@@ -259,6 +259,13 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
       }
       stop = !options.continue_after_satisfied;
     } else {
+      if (!out.satisfied && iter == options.max_iters) {
+        // Tolerance never met within the iteration cap: the best effort is
+        // this sweep's decomposition, untruncated, taken before the growth
+        // below changes the factors.
+        out.tucker.core = core.allgather_full();
+        out.tucker.factors = factors;
+      }
       std::vector<idx_t> next(d);
       if (options.strategy == AdaptStrategy::modewise) {
         // Mode-wise expansion/contraction driven by the core's per-mode
@@ -348,18 +355,10 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   }
 
   if (!out.satisfied) {
-    // Tolerance never met within the iteration cap: return the last sweep's
-    // decomposition untruncated so the caller still gets the best effort.
+    // The last sweep's numbers describe the best effort gathered above.
     const RaIterationRecord& last = out.iterations.back();
     out.compressed_size = last.compressed_size;
     out.rel_error = last.rel_error;
-    // Reconstruct a replicated TuckerTensor from the final factors by one
-    // more core computation.
-    dist::DistTensor<T> core =
-        hooi_sweep(x, factors, ranks, options.hooi, options.max_iters + 1,
-                   &out.report);
-    out.tucker.core = core.allgather_full();
-    out.tucker.factors = factors;
   }
   shell.finish(out.report);
   return out;

@@ -230,6 +230,16 @@ tensor::TuckerTensor<T> read_tucker(const std::string& path) {
   return t;
 }
 
+std::size_t tucker_element_size(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  RAHOOI_REQUIRE(in.good(), "cannot open Tucker file: " + path);
+  RAHOOI_REQUIRE(read_u32(in) == kTuckerMagic,
+                 "not a rahooi Tucker file: " + path);
+  // Any other kind is left for read_tucker<float> to reject.
+  return read_u32(in) == element_kind<double>() ? sizeof(double)
+                                                 : sizeof(float);
+}
+
 #define RAHOOI_INSTANTIATE_IO(T)                                          \
   template void write_tensor<T>(const tensor::Tensor<T>&,                 \
                                 const std::string&);                      \

@@ -4,6 +4,7 @@
 // (magic "RHT1", element kind, order, dims) followed by the entries in the
 // library's first-mode-fastest order, little-endian.
 
+#include <cstddef>
 #include <string>
 
 #include "dist/dist_tensor.hpp"
@@ -41,5 +42,9 @@ void write_tucker(const tensor::TuckerTensor<T>& t, const std::string& path);
 
 template <typename T>
 tensor::TuckerTensor<T> read_tucker(const std::string& path);
+
+/// Element size in bytes (4 = float, 8 = double) recorded in a Tucker
+/// file's header, so a reader can pick the read_tucker<T> that accepts it.
+std::size_t tucker_element_size(const std::string& path);
 
 }  // namespace rahooi::io

@@ -173,55 +173,35 @@ double local_elements(const std::vector<std::int64_t>& extents,
   return vol;
 }
 
-/// Mirrors sweep_tree_recurse (core/hooi.cpp): `extents` are the current
+/// Walks the chains hooi_sweep builds below `index`: `extents` are that
 /// node's mode extents (global_dims with already-multiplied modes replaced
-/// by their ranks), `modes` the modes not yet multiplied in, `live` the
-/// dt_memo bytes held by enclosing chain nodes. Chain step k allocates the
-/// new node while the previous one (and everything in `live`) still exists.
-void simulate_tree(const std::vector<std::int64_t>& extents,
-                   const std::vector<int>& modes,
-                   const std::vector<std::int64_t>& ranks,
-                   const std::vector<int>& grid,
-                   const std::vector<int>& coord, double elem_bytes,
-                   double live, double* peak) {
-  if (modes.size() <= 1) return;  // leaf LLSVs are not charged to dt_memo
-  const std::size_t half = modes.size() / 2;
-  const std::vector<int> mu(modes.begin(), modes.begin() + half);
-  const std::vector<int> eta(modes.begin() + half, modes.end());
-
-  const auto chain = [&](const std::vector<int>& chain_modes,
-                         bool reversed) {
+/// by their ranks), `live` the dt_memo bytes held by enclosing chain nodes.
+/// Chain step k allocates the new node while the previous one (and
+/// everything in `live`) still exists; a chain's final node stays live
+/// while its child is visited. Leaf LLSVs are not charged to dt_memo.
+void walk_memo(const core::DimensionTree& tree, int index,
+               const std::vector<std::int64_t>& extents,
+               const std::vector<std::int64_t>& ranks,
+               const std::vector<int>& grid, const std::vector<int>& coord,
+               double elem_bytes, double live, double* peak) {
+  for (const int child : tree.nodes[index].children) {
     std::vector<std::int64_t> cur = extents;
     double prev = 0.0;
-    for (std::size_t k = 0; k < chain_modes.size(); ++k) {
-      const int m =
-          reversed ? chain_modes[chain_modes.size() - 1 - k] : chain_modes[k];
+    for (const int m : tree.nodes[child].ttm_modes) {
       cur[static_cast<std::size_t>(m)] = ranks[static_cast<std::size_t>(m)];
       const double next = local_elements(cur, grid, coord) * elem_bytes;
       *peak = std::max(*peak, live + prev + next);
       prev = next;
     }
-    return std::make_pair(cur, prev);
-  };
-
-  // a-chain: eta modes multiplied in descending order, then recurse into
-  // the mu leaves with `a` held live.
-  {
-    const auto [a_extents, a_bytes] = chain(eta, /*reversed=*/true);
-    simulate_tree(a_extents, mu, ranks, grid, coord, elem_bytes,
-                  live + a_bytes, peak);
-  }
-  // b-chain: mu modes ascending, recurse into the eta leaves.
-  {
-    const auto [b_extents, b_bytes] = chain(mu, /*reversed=*/false);
-    simulate_tree(b_extents, eta, ranks, grid, coord, elem_bytes,
-                  live + b_bytes, peak);
+    walk_memo(tree, child, cur, ranks, grid, coord, elem_bytes, live + prev,
+              peak);
   }
 }
 
 }  // namespace
 
 double predict_tree_memo_peak_bytes(
+    const core::DimensionTree& tree,
     const std::vector<std::int64_t>& global_dims,
     const std::vector<std::int64_t>& ranks, const std::vector<int>& grid,
     const std::vector<int>& coord, double elem_bytes) {
@@ -229,15 +209,15 @@ double predict_tree_memo_peak_bytes(
   RAHOOI_REQUIRE(ranks.size() == d && grid.size() == d && coord.size() == d,
                  "predict_tree_memo_peak_bytes: dims/ranks/grid/coord must "
                  "agree in order");
+  RAHOOI_REQUIRE(!tree.nodes.empty() && tree.nodes[0].modes.size() == d,
+                 "predict_tree_memo_peak_bytes: tree order differs from "
+                 "the dims");
   for (std::size_t j = 0; j < d; ++j) {
     RAHOOI_REQUIRE(grid[j] >= 1 && coord[j] >= 0 && coord[j] < grid[j],
                    "predict_tree_memo_peak_bytes: bad grid coordinate");
   }
-  std::vector<int> all(d);
-  for (std::size_t j = 0; j < d; ++j) all[j] = static_cast<int>(j);
   double peak = 0.0;
-  simulate_tree(global_dims, all, ranks, grid, coord, elem_bytes, 0.0,
-                &peak);
+  walk_memo(tree, 0, global_dims, ranks, grid, coord, elem_bytes, 0.0, &peak);
   return peak;
 }
 

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "core/dimension_tree.hpp"
+
 namespace rahooi::model {
 
 enum class Algorithm { sthosvd, hooi, hooi_dt, hosi, hosi_dt };
@@ -155,15 +157,17 @@ LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
                               bool warm_start = true,
                               const MachineRates& m = {});
 
-/// Predicted peak of the dimension-tree memo cache (the dt_memo metrics
-/// gauge, docs/OBSERVABILITY.md) for the rank at `coord` of `grid`, in
-/// bytes: an exact walk of the sweep_tree_recurse live set. Each chain step
-/// briefly holds the previous chain node and the freshly allocated one; a
-/// chain's final node stays live across the recursion into its sibling
-/// half. The root tensor itself is charged to dist_tensor, not dt_memo, so
-/// it is not counted. Non-cubical dims/ranks/grids are supported — this is
-/// a per-rank bound on measured gauges, not a Table 1 formula.
-double predict_tree_memo_peak_bytes(const std::vector<std::int64_t>& global_dims,
+/// Predicted peak of a sweep's memo cache (the dt_memo metrics gauge,
+/// docs/OBSERVABILITY.md) for the rank at `coord` of `grid`, in bytes: an
+/// exact walk of the live set hooi_sweep holds while it walks `tree` (the
+/// dimension tree or the direct sweep's star, core/dimension_tree.hpp).
+/// Each chain step briefly holds the previous chain node and the freshly
+/// allocated one; a chain's final node stays live while its child is
+/// visited. The root tensor itself is charged to dist_tensor, not dt_memo,
+/// so it is not counted. Non-cubical dims/ranks/grids are supported — this
+/// is a per-rank bound on measured gauges, not a Table 1 formula.
+double predict_tree_memo_peak_bytes(const core::DimensionTree& tree,
+                                    const std::vector<std::int64_t>& global_dims,
                                     const std::vector<std::int64_t>& ranks,
                                     const std::vector<int>& grid,
                                     const std::vector<int>& coord,

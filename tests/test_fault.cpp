@@ -426,9 +426,6 @@ TEST(Degradation, ValidateRejectsBadOptions) {
   h.max_iters = 0;
   EXPECT_THROW(core::validate(h), precondition_error);
   h = {};
-  h.subspace_steps = 0;
-  EXPECT_THROW(core::validate(h), precondition_error);
-  h = {};
   h.convergence_tol = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(core::validate(h), precondition_error);
   h = {};

@@ -173,7 +173,9 @@ TEST_P(FuzzSweep, HooiSweepKeepsFactorsOrthonormal) {
       o.svd_method = svd;
       o.use_dimension_tree = (GetParam() % 2) == 0;
       auto factors = core::random_factors<double>(c.dims, ranks, 3);
-      auto core_t = core::hooi_sweep(x, factors, ranks, o);
+      core::SolveReport report;
+      auto core_t = core::hooi_sweep(x, factors, ranks, o, 0, report);
+      EXPECT_FALSE(report.degraded()) << report.to_string();
       for (std::size_t j = 0; j < factors.size(); ++j) {
         EXPECT_LT(la::orthogonality_error<double>(factors[j]), 1e-9);
         EXPECT_EQ(factors[j].cols(), ranks[j]);

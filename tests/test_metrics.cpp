@@ -358,42 +358,48 @@ TEST(MetricsSolver, DtMemoPeakWithinCostModelBound) {
   auto x = random_tensor<double>(dims, 77);
 
   const int p = 4;
-  std::vector<metrics::Registry> regs;
-  comm::RunOptions opts;
-  opts.rank_metrics = &regs;
-  std::vector<std::vector<int>> coords(p);
-  comm::Runtime::run(
-      p,
-      [&](comm::Comm& world) {
-        dist::ProcessorGrid grid(world, grid_dims);
-        coords[world.rank()] = grid.coords_of(world.rank());
-        auto xd = dist::DistTensor<double>::generate(
-            grid, x.dims(),
-            [&](const std::vector<idx_t>& g) { return x.at(g); });
-        core::HooiOptions o;
-        o.svd_method = core::SvdMethod::subspace_iteration;
-        o.use_dimension_tree = true;
-        o.max_iters = 2;
-        core::HooiResult<double> res = core::hooi(xd, target, o);
-        EXPECT_FALSE(res.error_history.empty());
-      },
-      nullptr, nullptr, opts);
+  // Both sweep shapes: the dimension tree and the direct sweep's star.
+  for (const bool use_tree : {true, false}) {
+    std::vector<metrics::Registry> regs;
+    comm::RunOptions opts;
+    opts.rank_metrics = &regs;
+    std::vector<std::vector<int>> coords(p);
+    comm::Runtime::run(
+        p,
+        [&](comm::Comm& world) {
+          dist::ProcessorGrid grid(world, grid_dims);
+          coords[world.rank()] = grid.coords_of(world.rank());
+          auto xd = dist::DistTensor<double>::generate(
+              grid, x.dims(),
+              [&](const std::vector<idx_t>& g) { return x.at(g); });
+          core::HooiOptions o;
+          o.svd_method = core::SvdMethod::subspace_iteration;
+          o.use_dimension_tree = use_tree;
+          o.max_iters = 2;
+          core::HooiResult<double> res = core::hooi(xd, target, o);
+          EXPECT_FALSE(res.error_history.empty());
+        },
+        nullptr, nullptr, opts);
 
-  ASSERT_EQ(regs.size(), static_cast<std::size_t>(p));
-  // The clean solve's event log passes the schema validator (finite errors,
-  // sequential sweeps) — the counterpart of the NaN-degraded replay above.
-  std::string error;
-  EXPECT_TRUE(
-      metrics::validate_events_jsonl(metrics::events_jsonl(regs[0]), &error))
-      << error;
-  for (int r = 0; r < p; ++r) {
-    const double peak = regs[r].gauge(metrics::MemScope::dt_memo).peak;
-    const double bound = model::predict_tree_memo_peak_bytes(
-        {dims.begin(), dims.end()}, {target.begin(), target.end()},
-        grid_dims, coords[r], sizeof(double));
-    EXPECT_GT(peak, 0.0) << "rank " << r;
-    EXPECT_GT(bound, 0.0) << "rank " << r;
-    EXPECT_LE(peak, bound) << "rank " << r;
+    ASSERT_EQ(regs.size(), static_cast<std::size_t>(p));
+    // The clean solve's event log passes the schema validator (finite
+    // errors, sequential sweeps) — the counterpart of the NaN-degraded
+    // replay above.
+    std::string error;
+    EXPECT_TRUE(metrics::validate_events_jsonl(
+        metrics::events_jsonl(regs[0]), &error))
+        << error;
+    const core::DimensionTree tree =
+        use_tree ? core::build_dimension_tree(3) : core::build_direct_tree(3);
+    for (int r = 0; r < p; ++r) {
+      const double peak = regs[r].gauge(metrics::MemScope::dt_memo).peak;
+      const double bound = model::predict_tree_memo_peak_bytes(
+          tree, {dims.begin(), dims.end()}, {target.begin(), target.end()},
+          grid_dims, coords[r], sizeof(double));
+      EXPECT_GT(peak, 0.0) << "tree " << use_tree << " rank " << r;
+      EXPECT_GT(bound, 0.0) << "tree " << use_tree << " rank " << r;
+      EXPECT_LE(peak, bound) << "tree " << use_tree << " rank " << r;
+    }
   }
 }
 
@@ -401,10 +407,11 @@ TEST(MetricsCostModel, TreeMemoBoundGrowsWithRanks) {
   const std::vector<std::int64_t> dims{32, 32, 32, 32};
   const std::vector<int> grid{1, 1, 1, 1};
   const std::vector<int> coord{0, 0, 0, 0};
+  const core::DimensionTree tree = core::build_dimension_tree(4);
   const double small = model::predict_tree_memo_peak_bytes(
-      dims, {4, 4, 4, 4}, grid, coord, 8.0);
+      tree, dims, {4, 4, 4, 4}, grid, coord, 8.0);
   const double large = model::predict_tree_memo_peak_bytes(
-      dims, {8, 8, 8, 8}, grid, coord, 8.0);
+      tree, dims, {8, 8, 8, 8}, grid, coord, 8.0);
   EXPECT_GT(small, 0.0);
   EXPECT_GT(large, small);
 }

@@ -7,6 +7,7 @@
 #include "comm/runtime.hpp"
 #include "core/sthosvd.hpp"
 #include "la/qr.hpp"
+#include "prof/trace.hpp"
 #include "tensor/ttm.hpp"
 #include "test_util.hpp"
 
@@ -224,19 +225,35 @@ TEST(RankAdaptive, GridInvariantDecision) {
 
 TEST(RankAdaptive, UnsatisfiedWithinCapReportsBestEffort) {
   auto x = random_tensor<double>({8, 8, 8}, 917);  // white noise: incompressible
-  comm::Runtime::run(1, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 1, 1});
-    auto xd = distribute(grid, x);
-    RankAdaptiveOptions opt;
-    opt.tolerance = 0.01;
-    opt.max_iters = 1;  // cannot possibly reach from rank 2
-    opt.growth_factor = 1.5;
-    auto res = rank_adaptive_hooi(xd, {2, 2, 2}, opt);
-    EXPECT_FALSE(res.satisfied);
-    EXPECT_FALSE(res.iterations.empty());
-    EXPECT_GT(res.rel_error, 0.01);
-    EXPECT_EQ(res.tucker.factors.size(), 3u);
-  });
+  RankAdaptiveOptions opt;
+  opt.tolerance = 0.01;
+  opt.max_iters = 2;  // cannot possibly reach from rank 2
+  opt.growth_factor = 1.5;
+  std::vector<prof::Recorder> traces;
+  comm::Runtime::run(
+      1,
+      [&](comm::Comm& world) {
+        dist::ProcessorGrid grid(world, {1, 1, 1});
+        auto xd = distribute(grid, x);
+        auto res = rank_adaptive_hooi(xd, {2, 2, 2}, opt);
+        EXPECT_FALSE(res.satisfied);
+        ASSERT_EQ(res.iterations.size(), 2u);
+        EXPECT_GT(res.rel_error, 0.01);
+        EXPECT_EQ(res.tucker.factors.size(), 3u);
+        // The returned decomposition is the last sweep's, before its growth,
+        // and the reported numbers describe exactly that decomposition.
+        EXPECT_EQ(res.tucker.ranks(), res.iterations.back().sweep_ranks);
+        EXPECT_EQ(res.compressed_size, res.tucker.compressed_size());
+        EXPECT_NEAR(tensor::relative_error(x, res.tucker), res.rel_error,
+                    1e-10);
+      },
+      nullptr, &traces);
+  // One sweep per iteration, none after the loop.
+  int sweeps = 0;
+  for (const auto& ev : traces[0].events()) {
+    sweeps += ev.name.rfind("sweep[", 0) == 0;
+  }
+  EXPECT_EQ(sweeps, opt.max_iters);
 }
 
 TEST(RankAdaptive, FourWayDoublePrecision) {

@@ -97,8 +97,10 @@ struct Finding {
   std::string function;
   std::string message;
   std::vector<std::string> chain;
+  // Defaulted, so a positional Finding{…} may stop at `chain` and stay
+  // clean under -Wmissing-field-initializers.
   bool suppressed = false;
-  std::string reason;  ///< the allow reason when suppressed
+  std::string reason{};  ///< the allow reason when suppressed
 };
 
 struct Analysis {
