@@ -67,7 +67,7 @@ void kernel_study() {
   CsvTable table({"kernel", "eps", "seconds", "ranks", "rel_error"});
   for (const double eps : {1e-2, 1e-4}) {
     for (const auto kernel :
-         {core::LlsvKernel::gram_evd, core::LlsvKernel::qr_svd}) {
+         {core::SvdMethod::gram_evd, core::SvdMethod::qr_svd}) {
       core::TuckerResult<float> st;
       RunResult run = timed_run(4, [&](comm::Comm& world) {
         auto grid = std::make_shared<dist::ProcessorGrid>(
@@ -81,8 +81,8 @@ void kernel_study() {
         });
       });
       table.begin_row();
-      table.add(std::string(kernel == core::LlsvKernel::qr_svd ? "qr_svd"
-                                                               : "gram_evd"));
+      table.add(std::string(kernel == core::SvdMethod::qr_svd ? "qr_svd"
+                                                              : "gram_evd"));
       table.add(eps);
       table.add(run.seconds);
       table.add(dims_to_string(st.ranks()));

@@ -5,6 +5,8 @@
 #include "common/rng.hpp"
 #include "core/dimension_tree.hpp"
 #include "core/solver_shell.hpp"
+#include "dist/dist_ops.hpp"
+#include "la/qr.hpp"
 #include "metrics/metrics.hpp"
 #include "prof/trace.hpp"
 
@@ -44,56 +46,6 @@ void count_fallback(SolveReport& report) {
   }
 }
 
-// Runs the configured LLSV method for one mode and returns the new factor.
-// `sweep_index` seeds the fresh sketches of the randomized method so they
-// differ between sweeps but are identical on every rank.
-template <typename T>
-la::Matrix<T> leaf_update_primary(const dist::DistTensor<T>& y, int mode,
-                                  const la::Matrix<T>& prev,
-                                  const std::vector<idx_t>& ranks,
-                                  const HooiOptions& options,
-                                  int sweep_index) {
-  switch (options.svd_method) {
-    case SvdMethod::subspace_iteration:
-      // One step per LLSV, the paper's §3.4 value: the warm start makes one
-      // step sufficient.
-      RAHOOI_REQUIRE(prev.cols() == ranks[mode],
-                     "subspace iteration needs a starting factor of the "
-                     "requested rank");
-      return llsv_subspace_iteration(y, mode, prev);
-    case SvdMethod::randomized: {
-      // Cold start: one-power-iteration randomized range finder.
-      const CounterRng rng = CounterRng(options.seed)
-                                 .stream(0x5EED0000ull + sweep_index)
-                                 .stream(mode);
-      la::Matrix<T> sketch(y.global_dim(mode), ranks[mode]);
-      for (idx_t i = 0; i < sketch.size(); ++i) {
-        sketch.data()[i] = static_cast<T>(rng.normal(i));
-      }
-      return llsv_subspace_iteration(y, mode,
-                                     la::orthonormalize<T>(sketch.cref()));
-    }
-    case SvdMethod::gaussian_sketch:
-    case SvdMethod::krp_sketch: {
-      // Sketched range finder: a fresh counter-based Omega per (sweep, mode)
-      // so sweeps are independent draws yet identical on every rank/grid.
-      const CounterRng rng = CounterRng(options.seed)
-                                 .stream(0x5EED5CEBull + sweep_index)
-                                 .stream(mode);
-      const dist::SketchKind kind = options.svd_method ==
-                                            SvdMethod::gaussian_sketch
-                                        ? dist::SketchKind::gaussian
-                                        : dist::SketchKind::krp;
-      return llsv_sketch(y, mode, ranks[mode], 0.0, kind, options.sketch,
-                         rng)
-          .u;
-    }
-    case SvdMethod::gram_evd:
-      break;
-  }
-  return llsv_gram(y, mode, ranks[mode]).u;
-}
-
 // Updates factors[mode] from `y`, the all-but-one multi-TTM result.
 // Numerical hazards degrade gracefully instead of throwing: the primary
 // method's failure (numerical_error or a non-finite update) falls back to
@@ -110,8 +62,17 @@ void leaf_update(const dist::DistTensor<T>& y, int mode,
   la::Matrix<T> updated;
   bool ok = false;
   try {
-    updated = leaf_update_primary(y, mode, factors[mode], ranks, options,
-                                  sweep_index);
+    // Fresh counter-based draws per (sweep, mode) for the randomized and
+    // sketched methods: sweeps are independent, yet identical on every
+    // rank and grid.
+    const std::uint64_t salt = options.svd_method == SvdMethod::randomized
+                                   ? 0x5EED0000ull
+                                   : 0x5EED5CEBull;
+    const CounterRng rng =
+        CounterRng(options.seed).stream(salt + sweep_index).stream(mode);
+    updated = llsv(y, mode, ranks[mode], 0.0, options.svd_method,
+                   &factors[mode], options.sketch, rng)
+                  .u;
     ok = la::all_finite(updated);
     if (!ok) {
       report.record(sweep_index, mode, "nonfinite_update",
@@ -126,7 +87,7 @@ void leaf_update(const dist::DistTensor<T>& y, int mode,
     // QRCP subspace path (it never divides by a pivot).
     count_fallback(report);
     try {
-      updated = llsv_gram(y, mode, ranks[mode]).u;
+      updated = llsv(y, mode, ranks[mode], 0.0, SvdMethod::gram_evd).u;
       ok = la::all_finite(updated);
       report.record(sweep_index, mode, "fallback_gram_evd",
                     ok ? "recovered via Gram+EVD"

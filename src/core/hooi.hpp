@@ -34,11 +34,12 @@ std::vector<la::Matrix<T>> random_factors(const std::vector<idx_t>& dims,
 /// One full HOOI iteration (all d subiterations): updates `factors` in
 /// place and returns the core G = Y x_d U_d^T computed at the last
 /// subiteration. Walks the direct (Alg. 2) or dimension-tree (Alg. 4) TTM
-/// schedule (core/dimension_tree.hpp) and dispatches to Gram+EVD or
-/// subspace-iteration LLSV. For subspace iteration, `factors` must already
-/// have ranks[j] orthonormal columns (they are the iteration's starting
-/// subspace). `sweep_index` distinguishes sweeps for the randomized
-/// method's fresh sketches (any value is fine for the other methods).
+/// schedule (core/dimension_tree.hpp) and updates each factor with
+/// core::llsv(options.svd_method). For subspace iteration, `factors` must
+/// already have ranks[j] orthonormal columns (they are the iteration's
+/// starting subspace). `sweep_index` distinguishes sweeps for the
+/// randomized and sketched methods' fresh draws (any value is fine for the
+/// other methods).
 /// Numerical hazards (non-finite updates, EVD non-convergence) degrade
 /// gracefully — fall back to Gram+EVD, then to keeping the previous factor
 /// — and are recorded in `report` instead of thrown.

@@ -1,37 +1,43 @@
 #pragma once
-// Leading-left-singular-vector (LLSV) computations — the two algorithmic
-// choices the paper compares plus the sketched family of this library:
+// Leading-left-singular-vector (LLSV) computations. One entry, llsv(),
+// turns a core::SvdMethod into a kernel call; every solver (HOOI sweeps,
+// ST-HOSVD, the rank-adaptive warm start) goes through it. The backends:
 //
-//  * Gram + EVD (paper §2.1): eigenvectors of the replicated Gram matrix;
-//    supports rank-specified and error-specified truncation. The EVD is
-//    sequential (replicated on all ranks), reproducing TuckerMPI's O(n^3)
-//    bottleneck.
+//  * Gram + EVD (paper §2.1): eigenvectors of the replicated Gram matrix.
+//    The EVD is sequential (replicated on all ranks), reproducing
+//    TuckerMPI's O(n^3) bottleneck.
+//  * QR-SVD (Li, Fang & Ballard, cited in §2.3): a distributed TSQR of the
+//    transposed unfolding followed by a small sequential SVD of the
+//    triangular factor. Avoids squaring the condition number (the Gram
+//    path loses half the working digits), at roughly twice the Gram flops.
 //  * Subspace iteration (paper §3.4, Alg. 5): one step of subspace
 //    iteration initialized from the previous HOOI iterate, orthonormalized
-//    with QR-with-column-pivoting. Rank-specified only.
+//    with QR-with-column-pivoting; `randomized` runs the same step from a
+//    fresh random subspace instead. Rank-specified only.
 //  * Sketched range finder (HMT; Minster, Li & Ballard): one distributed
 //    sketch apply Y = X_(j) Omega (dist/sketch.hpp) followed by the small
 //    sequential QRCP + Jacobi-SVD pair. Supports rank-specified truncation
 //    (width r + oversample) and error-specified truncation via adaptive
 //    width growth until the estimated tail energy clears the threshold.
 
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/options.hpp"
-#include "dist/dist_ops.hpp"
-#include "dist/sketch.hpp"
-#include "la/eig.hpp"
-#include "la/qr.hpp"
+#include "dist/dist_tensor.hpp"
+#include "la/matrix.hpp"
 
 namespace rahooi::core {
 
 using la::idx_t;
 
 template <typename T>
-struct GramLlsv {
-  la::Matrix<T> u;                 ///< leading eigenvectors (n x r)
-  std::vector<double> eigenvalues; ///< all n eigenvalues, descending
+struct LlsvResult {
+  la::Matrix<T> u;  ///< leading left singular vectors (n x rank)
+  /// All n (estimated) squared singular values, descending; empty for the
+  /// subspace-iteration backends, which never see the spectrum.
+  std::vector<double> eigenvalues;
   idx_t rank = 0;
 };
 
@@ -41,60 +47,39 @@ struct GramLlsv {
 idx_t rank_for_threshold(const std::vector<double>& eigenvalues,
                          double tau_sq);
 
-/// LLSV via Gram + EVD with a fixed rank.
-template <typename T>
-GramLlsv<T> llsv_gram(const dist::DistTensor<T>& x, int mode, idx_t rank);
-
-/// LLSV via Gram + EVD with error-specified truncation: picks the smallest
-/// rank whose discarded eigenvalue mass is <= tau_sq (STHOSVD's per-mode
-/// threshold eps^2 ||X||^2 / d).
-template <typename T>
-GramLlsv<T> llsv_gram_tol(const dist::DistTensor<T>& x, int mode,
-                          double tau_sq);
-
-/// LLSV via the numerically stable QR-SVD path (Li, Fang & Ballard, cited
-/// in §2.3): a distributed TSQR of the transposed unfolding followed by a
-/// small sequential SVD of the triangular factor. Avoids squaring the
-/// condition number (the Gram path loses half the working digits), at
-/// roughly twice the Gram flops. `rank` = 0 selects error-specified
-/// truncation with threshold `tau_sq` (as in llsv_gram_tol). The returned
-/// `eigenvalues` hold the squared singular values, so thresholding logic is
-/// interchangeable with the Gram path.
-template <typename T>
-GramLlsv<T> llsv_qr_svd(const dist::DistTensor<T>& x, int mode, idx_t rank,
-                        double tau_sq = 0.0);
-
-/// LLSV-SI (Alg. 5): `steps` subspace iterations from the previous factor
-/// `u_prev` (n x r, orthonormal). Each step computes the core slice
-/// G = X x_mode U^T (a TTM), the contraction Z = X_(mode) G_(mode)^T, and
-/// orthonormalizes with QRCP; the paper uses steps = 1 (§3.4), noting the
-/// computation "could be repeated to improve accuracy". Column pivoting
-/// orders the basis by captured energy for the rank-adaptive core analysis
-/// (§3.2).
-template <typename T>
-la::Matrix<T> llsv_subspace_iteration(const dist::DistTensor<T>& x, int mode,
-                                      const la::Matrix<T>& u_prev,
-                                      int steps = 1);
-
-/// Sketched LLSV: one distributed sketch apply Y = X_(mode) Omega, then the
-/// small sequential orthonormalization QRCP(Y) -> SVD(R) -> U = Q U_R. The
-/// returned `eigenvalues` hold the *estimated* squared singular values
-/// lambda_i = sigma_i(Y)^2 / s (E[Y Y^T] = s X_(mode) X_(mode)^T for a width-s
-/// Gaussian sketch), zero-padded to the mode dimension, so the thresholding
-/// logic stays interchangeable with the Gram path.
+/// LLSV of mode `mode` of `y` by `method`. `rank` > 0 truncates to that
+/// rank; `rank` = 0 picks the smallest rank whose discarded energy is at
+/// most `tau_sq` (STHOSVD's per-mode threshold eps^2 ||X||^2 / d).
 ///
-/// `rank` > 0 selects rank-specified truncation with sketch width
-/// rank + sketch.oversample. `rank` = 0 selects error-specified truncation:
-/// starting from sketch.min_cols columns, the width grows by sketch.growth
-/// (metrics Counter::sketch_regrowths per round, fresh Omega from
-/// rng.stream(attempt)) until the estimated tail energy sum_{i>r} lambda_i
-/// clears sketch.safety * tau_sq with `oversample` columns to spare. If the
-/// width would reach the mode dimension — where the sketch apply costs as
-/// much as the Gram matrix — the call falls back to the exact llsv_gram_tol
-/// decision at the full tau_sq (`safety` only hedges estimator variance).
+///  * gram_evd, qr_svd: exact spectrum; `eigenvalues` are the squared
+///    singular values, so thresholding is interchangeable between them.
+///  * subspace_iteration: one step of Alg. 5 from `warm` (n x rank,
+///    orthonormal): G = X x_mode U^T (a TTM), Z = X_(mode) G_(mode)^T, then
+///    QRCP. Column pivoting orders the basis by captured energy for the
+///    rank-adaptive core analysis (§3.2).
+///  * randomized: the same step from an orthonormalized Gaussian start
+///    drawn from `rng`.
+///  * gaussian_sketch, krp_sketch: Y = X_(mode) Omega, then
+///    QRCP(Y) -> SVD(R) -> U = Q U_R. `eigenvalues` hold the *estimated*
+///    squared singular values sigma_i(Y)^2 / s (E[Y Y^T] = s X X^T for a
+///    width-s Gaussian sketch), zero-padded to n. At `rank` > 0 the width
+///    is rank + sketch.oversample. At `rank` = 0 the width starts at
+///    sketch.min_cols and grows by sketch.growth (metrics
+///    Counter::sketch_regrowths per round, fresh Omega from
+///    rng.stream(attempt)) until the estimated tail energy clears
+///    sketch.safety * tau_sq with `oversample` columns to spare; a width
+///    that would reach n — where the sketch apply costs as much as the
+///    Gram matrix — falls back to the exact Gram+EVD decision at the full
+///    tau_sq.
+///
+/// A method whose inputs are missing throws precondition_error:
+/// subspace_iteration without a `warm` factor of `rank` columns, and
+/// randomized or subspace_iteration at `rank` = 0.
 template <typename T>
-GramLlsv<T> llsv_sketch(const dist::DistTensor<T>& x, int mode, idx_t rank,
-                        double tau_sq, dist::SketchKind kind,
-                        const SketchOptions& sketch, const CounterRng& rng);
+LlsvResult<T> llsv(const dist::DistTensor<T>& y, int mode, idx_t rank,
+                   double tau_sq, SvdMethod method,
+                   const std::type_identity_t<la::Matrix<T>>* warm = nullptr,
+                   const SketchOptions& sketch = {},
+                   const CounterRng& rng = CounterRng(1));
 
 }  // namespace rahooi::core

@@ -4,7 +4,8 @@
 //                                    subspace, 2 = subspace iteration,
 //                                    3 = Gaussian sketch, 4 = Khatri-Rao
 //                                    sketch; the driver also accepts -1 =
-//                                    auto via model::pick_llsv_backend)
+//                                    auto via model::pick_llsv_backend;
+//                                    qr_svd is API-only, no file value)
 //   "Dimension Tree Memoization"  -> use_dimension_tree
 //   "HOOI-Adapt Threshold"        -> adapt_tolerance (eps; 0 disables)
 //   "HOOI max iters"              -> max_iters
@@ -13,6 +14,9 @@
 //   HOOI     = {gram_evd, no tree},   HOOI-DT = {gram_evd, tree},
 //   HOSI     = {subspace, no tree},   HOSI-DT = {subspace, tree},
 //   HOSK(-DT) = {gaussian_sketch},    HOSK-KRP(-DT) = {krp_sketch}.
+// SvdMethod is the one name for an LLSV backend: core::llsv
+// (core/llsv.hpp) runs it for HOOI sweeps, ST-HOSVD and the rank-adaptive
+// warm start alike.
 
 #include <atomic>
 #include <cstdint>
@@ -43,6 +47,10 @@ enum class SvdMethod : int {
   /// rows covering its local fibers. Same accuracy class as the Gaussian
   /// sketch on incoherent data at a fraction of the Omega-generation cost.
   krp_sketch = 4,
+  /// Distributed TSQR of the unfolding + small sequential SVD (Li, Fang &
+  /// Ballard, §2.3): the numerically stable alternative to gram_evd at
+  /// about twice its flops. API-only: "SVD Method" has no value for it.
+  qr_svd = 5,
 };
 
 /// Knobs for the sketched LLSV backends (svd_method 3/4) and the randomized

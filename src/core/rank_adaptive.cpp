@@ -6,6 +6,8 @@
 #include "common/stopwatch.hpp"
 #include "core/solver_shell.hpp"
 #include "core/sthosvd.hpp"
+#include "la/blas.hpp"
+#include "la/qr.hpp"
 #include "metrics/metrics.hpp"
 #include "prof/trace.hpp"
 
@@ -185,13 +187,13 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
     // tolerance seeds both factors and ranks, so the first HOOI iteration
     // refines an informed subspace instead of random noise. The adaptive
     // sketch width grows per mode until its tail estimate clears the
-    // per-mode threshold (core/llsv.hpp).
+    // per-mode threshold (core/llsv.hpp). Policy: Khatri-Rao if the sweeps
+    // sketch with it, else Gaussian.
     prof::TraceSpan init_span("sketched_init");
-    const LlsvKernel kernel =
-        options.hooi.svd_method == SvdMethod::krp_sketch
-            ? LlsvKernel::krp_sketch
-            : LlsvKernel::gaussian_sketch;
-    TuckerResult<T> init = sthosvd(x, options.tolerance, kernel,
+    const SvdMethod method = options.hooi.svd_method == SvdMethod::krp_sketch
+                                 ? SvdMethod::krp_sketch
+                                 : SvdMethod::gaussian_sketch;
+    TuckerResult<T> init = sthosvd(x, options.tolerance, method,
                                    options.hooi.sketch, options.hooi.seed);
     factors = std::move(init.factors);
     for (int j = 0; j < d; ++j) ranks[j] = factors[j].cols();

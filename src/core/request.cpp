@@ -157,11 +157,8 @@ void set_grid(SolveSpec& spec, std::vector<int> grid) {
   for (const auto v : spec.decomposition) prob.r = std::max(prob.r, double(v));
   prob.iters = spec.ra.hooi.max_iters;
   prob.grid = spec.grid;
-  constexpr SvdMethod kMethod[] = {SvdMethod::gram_evd,
-                                   SvdMethod::subspace_iteration,
-                                   SvdMethod::gaussian_sketch};
-  spec.ra.hooi.svd_method = kMethod[static_cast<int>(model::pick_llsv_backend(
-      prob, spec.ra.hooi.sketch.oversample, /*warm_start=*/true))];
+  spec.ra.hooi.svd_method =
+      model::pick_llsv_backend(prob, spec.ra.hooi.sketch.oversample);
 }
 
 double collective_timeout_s(const SolveSpec& spec, double floor_s) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/solver_shell.hpp"
+#include "dist/dist_ops.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -40,7 +41,7 @@ namespace {
 template <typename T>
 TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
                              const std::vector<idx_t>* fixed_ranks,
-                             LlsvKernel kernel, const SketchOptions& sketch,
+                             SvdMethod method, const SketchOptions& sketch,
                              std::uint64_t seed) {
   const int d = x.ndims();
   // Root span tagged Phase::other so the per-phase seconds sum to the
@@ -62,31 +63,19 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
   for (int j = 0; j < d; ++j) {
     prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
     const idx_t fixed = fixed_ranks != nullptr ? (*fixed_ranks)[j] : 0;
-    GramLlsv<T> llsv;
-    if (kernel == LlsvKernel::gaussian_sketch ||
-        kernel == LlsvKernel::krp_sketch) {
-      // Randomized ST-HOSVD: sketched per-mode truncation. The adaptive
-      // (error-specified) form estimates the tail of the *partially
-      // truncated* tensor from the sketch spectrum, which is what the
-      // per-mode threshold tau^2 budgets against in Alg. 1.
-      const dist::SketchKind kind = kernel == LlsvKernel::gaussian_sketch
-                                        ? dist::SketchKind::gaussian
-                                        : dist::SketchKind::krp;
-      const CounterRng rng =
-          CounterRng(seed).stream(0x5EEDDA7Aull).stream(j);
-      llsv = llsv_sketch(*src, j, fixed, tau_sq, kind, sketch, rng);
-    } else if (kernel == LlsvKernel::qr_svd) {
-      llsv = llsv_qr_svd(*src, j, fixed, tau_sq);
-    } else {
-      llsv = fixed > 0 ? llsv_gram(*src, j, fixed)
-                       : llsv_gram_tol(*src, j, tau_sq);
-    }
+    // Randomized ST-HOSVD (sketched methods): the adaptive form estimates
+    // the tail of the *partially truncated* tensor from the sketch
+    // spectrum, which is what the per-mode threshold tau^2 budgets against
+    // in Alg. 1.
+    const CounterRng rng = CounterRng(seed).stream(0x5EEDDA7Aull).stream(j);
+    LlsvResult<T> basis =
+        llsv(*src, j, fixed, tau_sq, method, nullptr, sketch, rng);
     {
       prof::TraceSpan t("ttm", Phase::ttm);
-      y = dist::dist_ttm(*src, j, llsv.u.cref());
+      y = dist::dist_ttm(*src, j, basis.u.cref());
       src = &y;
     }
-    out.factors.push_back(std::move(llsv.u));
+    out.factors.push_back(std::move(basis.u));
   }
   out.core_norm_sq = y.norm_squared();
   out.core = std::move(y);
@@ -104,16 +93,16 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
 
 template <typename T>
 TuckerResult<T> sthosvd(const dist::DistTensor<T>& x, double eps,
-                        LlsvKernel kernel, const SketchOptions& sketch,
+                        SvdMethod method, const SketchOptions& sketch,
                         std::uint64_t seed) {
   RAHOOI_REQUIRE(eps >= 0.0 && eps < 1.0, "sthosvd: eps must be in [0, 1)");
-  return sthosvd_impl<T>(x, eps, nullptr, kernel, sketch, seed);
+  return sthosvd_impl<T>(x, eps, nullptr, method, sketch, seed);
 }
 
 template <typename T>
 TuckerResult<T> sthosvd_fixed_rank(const dist::DistTensor<T>& x,
                                    const std::vector<idx_t>& ranks,
-                                   LlsvKernel kernel,
+                                   SvdMethod method,
                                    const SketchOptions& sketch,
                                    std::uint64_t seed) {
   RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == x.ndims(),
@@ -122,18 +111,18 @@ TuckerResult<T> sthosvd_fixed_rank(const dist::DistTensor<T>& x,
     RAHOOI_REQUIRE(ranks[j] >= 1 && ranks[j] <= x.global_dim(j),
                    "sthosvd: ranks must be in [1, n_j]");
   }
-  return sthosvd_impl<T>(x, 0.0, &ranks, kernel, sketch, seed);
+  return sthosvd_impl<T>(x, 0.0, &ranks, method, sketch, seed);
 }
 
 #define RAHOOI_INSTANTIATE_STHOSVD(T)                                  \
   template struct TuckerResult<T>;                                     \
   template TuckerResult<T> sthosvd<T>(const dist::DistTensor<T>&,      \
-                                      double, LlsvKernel,              \
+                                      double, SvdMethod,               \
                                       const SketchOptions&,            \
                                       std::uint64_t);                  \
   template TuckerResult<T> sthosvd_fixed_rank<T>(                      \
       const dist::DistTensor<T>&, const std::vector<idx_t>&,           \
-      LlsvKernel, const SketchOptions&, std::uint64_t);
+      SvdMethod, const SketchOptions&, std::uint64_t);
 
 RAHOOI_INSTANTIATE_STHOSVD(float)
 RAHOOI_INSTANTIATE_STHOSVD(double)

@@ -38,19 +38,18 @@ struct TuckerResult {
   tensor::TuckerTensor<T> replicated() const;
 };
 
-/// LLSV kernel used inside STHOSVD: TuckerMPI's Gram + sequential EVD, the
-/// numerically stable TSQR + small SVD of Li, Fang & Ballard (§2.3), or the
-/// sketched range finders (core/llsv.hpp) — the randomized ST-HOSVD that
-/// also serves as the rank-adaptive solver's warm start.
-enum class LlsvKernel { gram_evd, qr_svd, gaussian_sketch, krp_sketch };
-
 /// Error-specified STHOSVD: per-mode threshold eps^2 ||X||^2 / d (§2.1).
-/// `sketch`/`seed` configure the sketched kernels (adaptive width growth
-/// until the per-mode tail estimate clears the threshold) and are ignored
-/// by the deterministic kernels.
+/// `method` is the per-mode LLSV (core/llsv.hpp): TuckerMPI's Gram +
+/// sequential EVD, the numerically stable TSQR + small SVD of Li, Fang &
+/// Ballard (§2.3), or a sketched range finder — the randomized ST-HOSVD
+/// that also serves as the rank-adaptive solver's warm start. The
+/// subspace-iteration methods need a target rank and throw
+/// precondition_error here. `sketch`/`seed` configure the sketched methods
+/// (adaptive width growth until the per-mode tail estimate clears the
+/// threshold) and are ignored by the deterministic ones.
 template <typename T>
 TuckerResult<T> sthosvd(const dist::DistTensor<T>& x, double eps,
-                        LlsvKernel kernel = LlsvKernel::gram_evd,
+                        SvdMethod method = SvdMethod::gram_evd,
                         const SketchOptions& sketch = {},
                         std::uint64_t seed = 1);
 
@@ -58,7 +57,7 @@ TuckerResult<T> sthosvd(const dist::DistTensor<T>& x, double eps,
 template <typename T>
 TuckerResult<T> sthosvd_fixed_rank(const dist::DistTensor<T>& x,
                                    const std::vector<idx_t>& ranks,
-                                   LlsvKernel kernel = LlsvKernel::gram_evd,
+                                   SvdMethod method = SvdMethod::gram_evd,
                                    const SketchOptions& sketch = {},
                                    std::uint64_t seed = 1);
 

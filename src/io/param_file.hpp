@@ -15,7 +15,8 @@
 // (TuckerMPI default), 1 = randomized subspace (cold-start ablation),
 // 2 = subspace iteration + QRCP (paper §3.4), 3 = Gaussian sketch,
 // 4 = Khatri-Rao sketch; the drivers additionally accept -1 = auto
-// (model::pick_llsv_backend chooses by problem shape). The sketched
+// (model::pick_llsv_backend chooses by problem shape). SvdMethod::qr_svd
+// is API-only and has no value here. The sketched
 // backends read "Sketch Oversample", "Sketch Min Cols", "Sketch Growth",
 // "Sketch Safety" and "Sketch Deterministic"; the rank-adaptive driver
 // reads "RA Init" (sketched | random) — see core/options.hpp.

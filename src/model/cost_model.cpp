@@ -235,8 +235,9 @@ double predict_sketch_llsv_words(double n, double s, double p) {
   return 2.0 * n * s * (p - 1.0) / p;
 }
 
-LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
-                              bool warm_start, const MachineRates& m) {
+core::SvdMethod pick_llsv_backend(const Problem& prob,
+                                  std::int64_t oversample,
+                                  const MachineRates& m) {
   RAHOOI_REQUIRE(prob.d >= 1 && prob.n >= 1 && prob.r >= 1 && oversample >= 1,
                  "pick_llsv_backend: degenerate problem");
   const double d = prob.d;
@@ -254,18 +255,16 @@ LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
   const double sketch = 2.0 * fibers * s * n / p / m.flops_per_sec +
                         4.0 * n * s * s / m.seq_flops_per_sec +
                         predict_sketch_llsv_words(n, s, p) * beta;
+  const double si = 4.0 * n * std::pow(r, d) / p / m.flops_per_sec +
+                    4.0 * n * r * r / m.seq_flops_per_sec +
+                    2.0 * n * r * (p - 1.0) / p * beta;
   double best_time = gram;
-  LlsvBackend best = LlsvBackend::gram_evd;
+  core::SvdMethod best = core::SvdMethod::gram_evd;
   if (sketch < best_time) {
     best_time = sketch;
-    best = LlsvBackend::sketch;
+    best = core::SvdMethod::gaussian_sketch;
   }
-  if (warm_start) {
-    const double si = 4.0 * n * std::pow(r, d) / p / m.flops_per_sec +
-                      4.0 * n * r * r / m.seq_flops_per_sec +
-                      2.0 * n * r * (p - 1.0) / p * beta;
-    if (si < best_time) best = LlsvBackend::subspace_iteration;
-  }
+  if (si < best_time) best = core::SvdMethod::subspace_iteration;
   return best;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/dimension_tree.hpp"
+#include "core/options.hpp"
 
 namespace rahooi::model {
 
@@ -138,24 +139,19 @@ double predict_sketch_apply_flops(const std::vector<std::int64_t>& extents,
 /// Gram path — the sketch shrinks the LLSV collective by a factor n/s.
 double predict_sketch_llsv_words(double n, double s, double p);
 
-/// LLSV backend families the per-shape chooser picks between. `sketch`
-/// covers both Omega families — their leading-order cost is identical (the
-/// KRP variant only cheapens Omega *generation*, a lower-order term).
-enum class LlsvBackend { gram_evd, subspace_iteration, sketch };
-
-/// Picks the cheapest LLSV backend for one mode of a cubical problem by
-/// modeled per-mode time (K = n^(d-1) fibers):
+/// Picks the cheapest LLSV backend for one mode of a warm-started HOOI
+/// sweep of a cubical problem by modeled per-mode time
+/// (K = n^(d-1) fibers):
 ///  * gram_evd: n^2 K / P flops + 9 n^3 sequential EVD + 2 n^2 (P-1)/P words
 ///  * subspace_iteration: ~4 n r^d / P flops (TTM + contraction on the
 ///    memoized iterate) + ~4 n r^2 sequential QRCP + 2 n r (P-1)/P words
-///  * sketch: 2 K s n / P flops (s = r + oversample) + ~4 n s^2 sequential
-///    QRCP/SVD + 2 n s (P-1)/P words
-/// Subspace iteration needs a warm start, so it is only eligible when
-/// `warm_start` is true (HOOI sweeps after the first; a cold solve or an
-/// ST-HOSVD truncation cannot use it).
-LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
-                              bool warm_start = true,
-                              const MachineRates& m = {});
+///  * gaussian_sketch: 2 K s n / P flops (s = r + oversample) + ~4 n s^2
+///    sequential QRCP/SVD + 2 n s (P-1)/P words. It stands for both Omega
+///    families — their leading-order cost is identical (the KRP variant
+///    only cheapens Omega *generation*, a lower-order term).
+core::SvdMethod pick_llsv_backend(const Problem& prob,
+                                  std::int64_t oversample,
+                                  const MachineRates& m = {});
 
 /// Predicted peak of a sweep's memo cache (the dt_memo metrics gauge,
 /// docs/OBSERVABILITY.md) for the rank at `coord` of `grid`, in bytes: an

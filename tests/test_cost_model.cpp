@@ -209,6 +209,18 @@ TEST(Calibration, QuickRatesArePositive) {
   EXPECT_GT(m.seq_flops_per_sec, 1e6);
 }
 
+TEST(CostModel, LlsvPickerPinsTheWarmSweepChoice) {
+  // Default rates, oversample 8, 2 iterations. A thin cube at P = 2 is
+  // cheapest by warm-started subspace iteration; at r close to n the
+  // r^d contraction outgrows the Gram matrix and its EVD.
+  EXPECT_EQ(pick_llsv_backend(cubical(3, 256, 10, 2, {1, 1, 2}), 8),
+            core::SvdMethod::subspace_iteration);
+  EXPECT_EQ(pick_llsv_backend(cubical(3, 64, 60, 2, {1, 1, 1}), 8),
+            core::SvdMethod::gram_evd);
+  EXPECT_THROW(pick_llsv_backend(cubical(3, 64, 0, 2, {1, 1, 1}), 8),
+               precondition_error);
+}
+
 TEST(CostModel, RejectsDegenerateProblem) {
   EXPECT_THROW(predict(Algorithm::hooi, Problem{0, 10, 2, 1, {}}),
                precondition_error);

@@ -14,6 +14,7 @@
 #include "core/hooi.hpp"
 #include "core/sthosvd.hpp"
 #include "dist/dist_ops.hpp"
+#include "la/qr.hpp"
 #include "tensor/ttm.hpp"
 #include "test_util.hpp"
 

@@ -148,14 +148,14 @@ Noise = 0.001
 
 TEST(Integration, AllFiveVariantsAgreeOnError) {
   // The paper's premise in one test: on a well-conditioned problem every
-  // variant (direct/tree x gram/SI/randomized, plus STHOSVD) lands on the
-  // same approximation error.
+  // variant (direct/tree x gram/SI/randomized/QR-SVD, plus STHOSVD) lands
+  // on the same approximation error.
   auto x = data::synthetic_tucker_serial<double>({14, 12, 10}, {3, 3, 3},
                                                  0.05, 7);
   const auto st = core::sthosvd_serial_fixed_rank(x, {3, 3, 3});
   for (const auto svd :
        {core::SvdMethod::gram_evd, core::SvdMethod::subspace_iteration,
-        core::SvdMethod::randomized}) {
+        core::SvdMethod::randomized, core::SvdMethod::qr_svd}) {
     for (const bool tree : {false, true}) {
       core::HooiOptions o;
       o.svd_method = svd;

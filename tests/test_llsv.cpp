@@ -6,6 +6,7 @@
 
 #include "comm/runtime.hpp"
 #include "core/hooi.hpp"
+#include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "tensor/ttm.hpp"
 #include "test_util.hpp"
@@ -32,6 +33,13 @@ dist::DistTensor<T> distribute(const dist::ProcessorGrid& grid,
   return dist::DistTensor<T>::generate(
       grid, serial.dims(),
       [&serial](const std::vector<la::idx_t>& g) { return serial.at(g); });
+}
+
+// One LLSV-SI step on mode 0 from the orthonormal start `u0`.
+template <typename T>
+la::Matrix<T> subspace_step(const dist::DistTensor<T>& x,
+                            const la::Matrix<T>& u0) {
+  return llsv(x, 0, u0.cols(), 0.0, SvdMethod::subspace_iteration, &u0).u;
 }
 
 TEST(RankForThreshold, PicksSmallestSufficientRank) {
@@ -61,9 +69,9 @@ TEST(LlsvGram, RecoversTopSingularSubspace) {
   comm::Runtime::run(4, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {2, 2, 1});
     auto xd = distribute(grid, x);
-    auto llsv = llsv_gram(xd, 0, 3);
-    EXPECT_EQ(llsv.u.cols(), 3);
-    EXPECT_LT(subspace_distance(llsv.u, u_true), 1e-6);
+    auto res = llsv(xd, 0, 3, 0.0, SvdMethod::gram_evd);
+    EXPECT_EQ(res.u.cols(), 3);
+    EXPECT_LT(subspace_distance(res.u, u_true), 1e-6);
   });
 }
 
@@ -73,9 +81,9 @@ TEST(LlsvGram, EigenvaluesMatchSingularValuesSquared) {
   comm::Runtime::run(2, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {2, 1, 1});
     auto xd = distribute(grid, x);
-    auto llsv = llsv_gram(xd, 0, 2);
+    auto res = llsv(xd, 0, 2, 0.0, SvdMethod::gram_evd);
     for (int i = 0; i < 8; ++i) {
-      EXPECT_NEAR(llsv.eigenvalues[i], svd.singular[i] * svd.singular[i],
+      EXPECT_NEAR(res.eigenvalues[i], svd.singular[i] * svd.singular[i],
                   1e-8);
     }
   });
@@ -92,9 +100,9 @@ TEST(LlsvGramTol, ErrorSpecifiedRankSelection) {
   comm::Runtime::run(2, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {1, 2, 1});
     auto xd = distribute(grid, x);
-    auto tight = llsv_gram_tol(xd, 0, noise_sq);
+    auto tight = llsv(xd, 0, 0, noise_sq, SvdMethod::gram_evd);
     EXPECT_EQ(tight.rank, 2);
-    auto loose = llsv_gram_tol(xd, 0, 0.0);
+    auto loose = llsv(xd, 0, 0, 0.0, SvdMethod::gram_evd);
     EXPECT_GE(loose.rank, 2);
   });
 }
@@ -110,7 +118,7 @@ TEST(LlsvSubspace, OneStepRefinesToTrueSubspace) {
     dist::ProcessorGrid grid(world, {2, 1, 2});
     auto xd = distribute(grid, x);
     auto u0 = random_factors<double>({14, 8, 6}, {3, 3, 3}, 99)[0];
-    auto u1 = llsv_subspace_iteration(xd, 0, u0);
+    auto u1 = subspace_step(xd, u0);
     EXPECT_EQ(u1.rows(), 14);
     EXPECT_EQ(u1.cols(), 3);
     EXPECT_LT(la::orthogonality_error<double>(u1), 1e-10);
@@ -125,8 +133,8 @@ TEST(LlsvSubspace, MatchesGramSubspaceOnGappedSpectrum) {
   comm::Runtime::run(2, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {2, 1, 1});
     auto xd = distribute(grid, x);
-    auto exact = llsv_gram(xd, 0, 3).u;
-    auto refined = llsv_subspace_iteration(xd, 0, exact);
+    auto exact = llsv(xd, 0, 3, 0.0, SvdMethod::gram_evd).u;
+    auto refined = subspace_step(xd, exact);
     EXPECT_LT(subspace_distance(refined, exact), 1e-6);
   });
 }
@@ -138,14 +146,14 @@ TEST(LlsvSubspace, GridInvariance) {
   comm::Runtime::run(1, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {1, 1, 1});
     auto xd = distribute(grid, x);
-    reference = llsv_subspace_iteration(xd, 0, u0);
+    reference = subspace_step(xd, u0);
   });
   for (const std::vector<int>& gdims :
        {std::vector<int>{2, 2, 1}, {1, 2, 2}, {4, 1, 1}}) {
     comm::Runtime::run(4, [&](comm::Comm& world) {
       dist::ProcessorGrid grid(world, gdims);
       auto xd = distribute(grid, x);
-      auto u1 = llsv_subspace_iteration(xd, 0, u0);
+      auto u1 = subspace_step(xd, u0);
       // Same subspace regardless of the grid (signs/pivots may differ only
       // when columns tie; with random data the result is unique). The bound
       // leaves headroom over 1e-8: sanitizer builds inhibit FP contraction
@@ -164,7 +172,7 @@ TEST(LlsvSubspace, PhaseAttributionCoversTtmContractionQr) {
       [&](comm::Comm& world) {
         dist::ProcessorGrid grid(world, {2, 1, 1});
         auto xd = distribute(grid, x);
-        (void)llsv_subspace_iteration(xd, 0, u0);
+        (void)subspace_step(xd, u0);
       },
       &per_rank);
   for (const Stats& s : per_rank) {
@@ -179,50 +187,13 @@ TEST(LlsvSubspace, PhaseAttributionCoversTtmContractionQr) {
   }
 }
 
-TEST(LlsvSubspace, MultipleStepsConvergeCloserToExact) {
-  // §3.4: "in principle, the computations could be repeated to improve
-  // accuracy". On a modest spectral gap, more steps from a random start
-  // must approach the exact subspace monotonically (up to noise).
-  auto u_true =
-      la::orthonormalize<double>(random_matrix<double>(16, 3, 1010));
-  auto core = random_tensor<double>({3, 8, 6}, 1011);
-  auto x = tensor::ttm(core, 0, u_true.cref(), la::Op::none);
-  // Add noise so one step does not already converge to machine precision.
-  CounterRng rng(1012);
-  const double scale = 0.3 * x.norm() / std::sqrt(double(x.size()));
-  for (la::idx_t i = 0; i < x.size(); ++i) {
-    x[i] += scale * rng.normal(i);
-  }
-  comm::Runtime::run(2, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 2, 1});
-    auto xd = distribute(grid, x);
-    auto exact = llsv_gram(xd, 0, 3).u;
-    auto u0 = random_factors<double>({16, 8, 6}, {3, 3, 3}, 77)[0];
-    const double d1 =
-        subspace_distance(llsv_subspace_iteration(xd, 0, u0, 1), exact);
-    const double d3 =
-        subspace_distance(llsv_subspace_iteration(xd, 0, u0, 3), exact);
-    EXPECT_LE(d3, d1 + 1e-12);
-  });
-}
-
-TEST(LlsvSubspace, StepsOptionRejected) {
-  auto x = random_tensor<double>({6, 5, 4}, 1013);
-  comm::Runtime::run(1, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 1, 1});
-    auto xd = distribute(grid, x);
-    auto u0 = random_factors<double>({6, 5, 4}, {2, 2, 2}, 1)[0];
-    EXPECT_THROW(llsv_subspace_iteration(xd, 0, u0, 0), precondition_error);
-  });
-}
-
 TEST(LlsvQrSvd, MatchesGramSubspaceAndEigenvalues) {
   auto x = random_tensor<double>({10, 8, 6}, 1020);
   comm::Runtime::run(4, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {2, 2, 1});
     auto xd = distribute(grid, x);
-    auto gram = llsv_gram(xd, 0, 4);
-    auto qrsvd = llsv_qr_svd(xd, 0, 4);
+    auto gram = llsv(xd, 0, 4, 0.0, SvdMethod::gram_evd);
+    auto qrsvd = llsv(xd, 0, 4, 0.0, SvdMethod::qr_svd);
     EXPECT_LT(subspace_distance(qrsvd.u, gram.u), 1e-6);
     for (int i = 0; i < 10; ++i) {
       EXPECT_NEAR(qrsvd.eigenvalues[i], gram.eigenvalues[i],
@@ -237,8 +208,8 @@ TEST(LlsvQrSvd, ErrorSpecifiedRankMatchesGramPath) {
     dist::ProcessorGrid grid(world, {1, 2, 1});
     auto xd = distribute(grid, x);
     const double tau_sq = 0.05 * xd.norm_squared();
-    auto gram = llsv_gram_tol(xd, 0, tau_sq);
-    auto qrsvd = llsv_qr_svd(xd, 0, 0, tau_sq);
+    auto gram = llsv(xd, 0, 0, tau_sq, SvdMethod::gram_evd);
+    auto qrsvd = llsv(xd, 0, 0, tau_sq, SvdMethod::qr_svd);
     EXPECT_EQ(qrsvd.rank, gram.rank);
   });
 }
@@ -267,7 +238,7 @@ TEST(LlsvQrSvd, MoreAccurateThanGramInSinglePrecision) {
     auto xdist = dist::DistTensor<float>::generate(
         grid, xf.dims(),
         [&xf](const std::vector<la::idx_t>& g) { return xf.at(g); });
-    auto qrsvd = llsv_qr_svd(xdist, 0, 4);
+    auto qrsvd = llsv(xdist, 0, 4, 0.0, SvdMethod::qr_svd);
     // Exact singular values of the double construction, squared.
     const auto svd = la::svd_jacobi<double>(
         tensor::unfold(xd_serial, 0).cref());
@@ -275,6 +246,33 @@ TEST(LlsvQrSvd, MoreAccurateThanGramInSinglePrecision) {
     const double truth = svd.singular[3];
     const double est = std::sqrt(std::max(0.0, qrsvd.eigenvalues[3]));
     EXPECT_LT(std::abs(est - truth) / truth, 0.05);
+  });
+}
+
+TEST(Llsv, MissingInputsThrowPreconditionError) {
+  // The dispatch owns every method's input contract: the subspace-iteration
+  // methods are rank-specified, and subspace_iteration needs a warm factor
+  // of the requested rank. Every rank throws before any collective.
+  auto x = random_tensor<double>({6, 5, 4}, 1013);
+  comm::Runtime::run(2, [&](comm::Comm& world) {
+    dist::ProcessorGrid grid(world, {2, 1, 1});
+    auto xd = distribute(grid, x);
+    auto u0 = random_factors<double>({6, 5, 4}, {2, 2, 2}, 1)[0];
+    EXPECT_THROW(llsv(xd, 0, 2, 0.0, SvdMethod::subspace_iteration),
+                 precondition_error);
+    EXPECT_THROW(llsv(xd, 0, 3, 0.0, SvdMethod::subspace_iteration, &u0),
+                 precondition_error);
+    EXPECT_THROW(llsv(xd, 0, 0, 0.1, SvdMethod::subspace_iteration, &u0),
+                 precondition_error);
+    EXPECT_THROW(llsv(xd, 0, 0, 0.1, SvdMethod::randomized),
+                 precondition_error);
+    EXPECT_THROW(llsv(xd, 0, 7, 0.0, SvdMethod::gram_evd),
+                 precondition_error);
+    EXPECT_THROW(llsv(xd, 0, 0, -1.0, SvdMethod::qr_svd), precondition_error);
+    // The cold start needs no warm factor.
+    auto cold = llsv(xd, 0, 2, 0.0, SvdMethod::randomized);
+    EXPECT_EQ(cold.u.cols(), 2);
+    EXPECT_LT(la::orthogonality_error<double>(cold.u), 1e-10);
   });
 }
 
@@ -287,6 +285,8 @@ TEST(Llsv, VariantNames) {
   EXPECT_EQ(variant_name(o), "HOSI-DT");
   o.use_dimension_tree = false;
   EXPECT_EQ(variant_name(o), "HOSI");
+  o.svd_method = SvdMethod::qr_svd;
+  EXPECT_EQ(variant_name(o), "HOOI-QR");
 }
 
 }  // namespace

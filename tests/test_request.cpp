@@ -118,6 +118,17 @@ TEST(RequestSpec, SolverFollowsDriverAndThreshold) {
             std::string::npos);
 }
 
+TEST(RequestSpec, AutoSvdMethodResolvesOnTheGrid) {
+  // "SVD Method = -1" leaves the choice to model::pick_llsv_backend, which
+  // set_grid runs for the parsed 1x1x2 grid: d = 3, n = 12, r = 3, P = 2
+  // favours warm-started subspace iteration.
+  const core::SolveSpec spec =
+      parse(std::string(kBase) + "SVD Method = -1\n");
+  EXPECT_TRUE(spec.auto_llsv);
+  EXPECT_EQ(spec.ra.hooi.svd_method, core::SvdMethod::subspace_iteration);
+  EXPECT_FALSE(parse(kBase).auto_llsv);
+}
+
 TEST(RequestServe, UnknownKeyIsRejectedAtSubmitWithoutAWorld) {
   serve::Scheduler sched;
   const serve::SolveReport r = sched.wait(sched.submit(

@@ -9,6 +9,7 @@
 #include "core/llsv.hpp"
 #include "core/sthosvd.hpp"
 #include "data/synthetic.hpp"
+#include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "metrics/metrics.hpp"
 #include "model/cost_model.hpp"
@@ -212,12 +213,13 @@ TEST(LlsvSketch, FixedRankRecoversTopSingularSubspace) {
     ProcessorGrid grid(world, {2, 2, 1});
     auto xd = distribute(grid, x);
     core::SketchOptions sketch;
-    for (const SketchKind kind : {SketchKind::gaussian, SketchKind::krp}) {
-      auto llsv = core::llsv_sketch(xd, 0, 3, 0.0, kind, sketch,
-                                    CounterRng(5).stream(0));
-      EXPECT_EQ(llsv.u.cols(), 3);
-      EXPECT_LT(la::orthogonality_error<double>(llsv.u), 1e-10);
-      EXPECT_LT(subspace_distance(llsv.u, u_true), 1e-6);
+    for (const core::SvdMethod method :
+         {core::SvdMethod::gaussian_sketch, core::SvdMethod::krp_sketch}) {
+      auto res = core::llsv(xd, 0, 3, 0.0, method, nullptr, sketch,
+                            CounterRng(5).stream(0));
+      EXPECT_EQ(res.u.cols(), 3);
+      EXPECT_LT(la::orthogonality_error<double>(res.u), 1e-10);
+      EXPECT_LT(subspace_distance(res.u, u_true), 1e-6);
     }
   });
 }
@@ -240,9 +242,9 @@ TEST(LlsvSketch, AdaptiveFindsRankAndCountsRegrowths) {
     core::SketchOptions sketch;
     sketch.min_cols = 2;  // forces at least one regrowth round
     sketch.oversample = 2;
-    auto llsv = core::llsv_sketch(xd, 0, 0, noise_sq, SketchKind::gaussian,
-                                  sketch, CounterRng(6).stream(0));
-    EXPECT_EQ(llsv.rank, 4);
+    auto res = core::llsv(xd, 0, 0, noise_sq, core::SvdMethod::gaussian_sketch,
+                          nullptr, sketch, CounterRng(6).stream(0));
+    EXPECT_EQ(res.rank, 4);
     EXPECT_GE(reg.counter(metrics::Counter::sketch_regrowths), 1u);
     // The named counter accumulated every draw's width; the gauge's
     // high-water mark is the widest single sketch the ladder reached
@@ -264,11 +266,11 @@ TEST(LlsvSketch, EigenvalueEstimatesTrackGram) {
   comm::Runtime::run(2, [&](comm::Comm& world) {
     ProcessorGrid grid(world, {2, 1, 1});
     auto xd = distribute(grid, x);
-    auto gram = core::llsv_gram(xd, 0, 2);
+    auto gram = core::llsv(xd, 0, 2, 0.0, core::SvdMethod::gram_evd);
     core::SketchOptions sketch;
     sketch.oversample = 16;  // large oversampling tightens the estimate
-    auto sk = core::llsv_sketch(xd, 0, 2, 0.0, SketchKind::gaussian,
-                                sketch, CounterRng(8).stream(0));
+    auto sk = core::llsv(xd, 0, 2, 0.0, core::SvdMethod::gaussian_sketch,
+                         nullptr, sketch, CounterRng(8).stream(0));
     for (int i = 0; i < 2; ++i) {
       EXPECT_GT(sk.eigenvalues[i], 0.5 * gram.eigenvalues[i]);
       EXPECT_LT(sk.eigenvalues[i], 2.0 * gram.eigenvalues[i]);
@@ -292,7 +294,7 @@ TEST(SketchedSthosvd, OversamplingMeetsEpsAcrossSeeds) {
     sketch.min_cols = 8;
     sketch.oversample = 4;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      auto res = core::sthosvd(x, eps, core::LlsvKernel::gaussian_sketch,
+      auto res = core::sthosvd(x, eps, core::SvdMethod::gaussian_sketch,
                                sketch, seed);
       EXPECT_LE(res.relative_error(), eps) << "seed " << seed;
     }
@@ -307,7 +309,7 @@ TEST(SketchedSthosvd, FixedRankMatchesGramKernelError) {
     const std::vector<la::idx_t> ranks = {3, 3, 3};
     auto gram = core::sthosvd_fixed_rank(x, ranks);
     auto sk = core::sthosvd_fixed_rank(x, ranks,
-                                       core::LlsvKernel::gaussian_sketch);
+                                       core::SvdMethod::gaussian_sketch);
     // Same truncation ranks; the sketched subspaces are near-optimal but
     // randomized, so allow a constant-factor band around the (optimal)
     // gram truncation error rather than a tight match.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "comm/runtime.hpp"
@@ -168,6 +169,43 @@ TEST(Sthosvd, RejectsBadArguments) {
     EXPECT_THROW(sthosvd_fixed_rank(xd, {5, 1}), precondition_error);
     EXPECT_THROW(sthosvd_fixed_rank(xd, {1}), precondition_error);
   });
+}
+
+TEST(Sthosvd, QrSvdChoosesGramRanksAndMeetsEps) {
+  // Well-conditioned fp64 input: the TSQR + SVD kernel sees the same
+  // spectrum as Gram + EVD, so both pick the same ranks and both meet eps.
+  auto x = lowrank_plus_noise<double>({10, 9, 8}, {3, 3, 3}, 0.02, 42);
+  for (double eps : {0.3, 0.1, 0.05}) {
+    comm::Runtime::run(4, [&](comm::Comm& world) {
+      dist::ProcessorGrid grid(world, {1, 2, 2});
+      auto xd = distribute(grid, x);
+      auto gram = sthosvd(xd, eps);
+      auto qr = sthosvd(xd, eps, SvdMethod::qr_svd);
+      EXPECT_EQ(qr.ranks(), gram.ranks()) << "eps=" << eps;
+      EXPECT_LE(gram.relative_error(), eps) << "eps=" << eps;
+      EXPECT_LE(qr.relative_error(), eps) << "eps=" << eps;
+    });
+  }
+}
+
+TEST(Sthosvd, RankSpecifiedOnlyMethodsRejectEps) {
+  // ST-HOSVD has no warm factor and eps leaves the rank open: the LLSV
+  // dispatch rejects both subspace-iteration methods on every rank.
+  auto x = random_tensor<double>({6, 5, 4}, 52);
+  std::atomic<int> thrown{0};
+  comm::Runtime::run(2, [&](comm::Comm& world) {
+    dist::ProcessorGrid grid(world, {2, 1, 1});
+    auto xd = distribute(grid, x);
+    for (const SvdMethod m :
+         {SvdMethod::subspace_iteration, SvdMethod::randomized}) {
+      try {
+        (void)sthosvd(xd, 0.1, m);
+      } catch (const precondition_error&) {
+        ++thrown;
+      }
+    }
+  });
+  EXPECT_EQ(thrown.load(), 4);
 }
 
 TEST(Sthosvd, FourWayTensor) {
