@@ -3,9 +3,11 @@
 //   bench_kernels [--quick] [out.json]
 //                            — default: times the packed GEMM/SYRK/TTM/Gram
 //                              kernels (plus the sketch-apply tall-skinny
-//                              GEMM, the Khatri-Rao fold and the tensor
-//                              norm) against the retained naive references
-//                              at representative HOOI shapes and writes
+//                              GEMM, the Khatri-Rao fold, the tensor
+//                              norm and the sequential EVD) against the
+//                              retained naive references (for the EVD, the
+//                              Jacobi-SVD oracle) at representative HOOI
+//                              shapes and writes
 //                              BENCH_kernels.json:
 //                              per-row deterministic "flops" (shape-derived,
 //                              diffed by the bench-diff ctest gate) plus
@@ -350,6 +352,32 @@ void bench_norm(const std::vector<idx_t>& dims, std::vector<JsonEntry>& out,
                  static_cast<double>(x.size()) * sizeof(T)});
 }
 
+/// The sequential EVD on a 256 x 256 fp32 Gram matrix, as llsv_gram calls
+/// it: forming the 8 leading eigenvectors ("_k8") and all of them
+/// ("_k256"). "flops" is la::sym_evd_flops; the reference is the library's
+/// eigen-oracle, the one-sided Jacobi SVD of the same matrix, timed once.
+void bench_evd(std::vector<JsonEntry>& out) {
+  const idx_t n = 256;
+  auto a = random_matrix<float>(n, 2 * n, 23);
+  la::Matrix<float> g(n, n);
+  la::syrk<float>(1.0f, a.cref(), 0.0f, g.ref());
+  const double oracle_calls_per_s = time_gflops(1e9, [&] {
+    auto svd = la::svd_jacobi<float>(g.cref());
+    benchmark::DoNotOptimize(svd.u.data());
+  });
+  for (const idx_t k : {idx_t{8}, n}) {
+    const double flops =
+        la::sym_evd_flops(static_cast<double>(n), static_cast<double>(k));
+    const la::EvdKeep keep = [k](const std::vector<double>&) { return k; };
+    const double gf = time_gflops(flops, [&] {
+      auto evd = la::sym_evd<float>(g.cref(), keep);
+      benchmark::DoNotOptimize(evd.vectors.data());
+    });
+    out.push_back({"evd_s_256_k" + std::to_string(k), flops, gf,
+                   flops * oracle_calls_per_s / 1e9});
+  }
+}
+
 int run_json_report(const char* path) {
   std::vector<JsonEntry> entries;
   bench_gemm_square<double>(256, "d", entries);
@@ -381,6 +409,8 @@ int run_json_report(const char* path) {
   // Norm rows after them, for the same reason.
   bench_norm<float>({256, 256, 128}, entries, "s");
   bench_norm<double>({96, 96, 16, 32}, entries, "d");
+  // EVD rows after them.
+  bench_evd(entries);
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {

@@ -59,14 +59,18 @@ LlsvResult<T> llsv_gram(const dist::DistTensor<T>& x, int mode, idx_t rank,
     prof::TraceSpan t("gram", Phase::gram);
     gram = dist::dist_mode_gram(x, mode);
   }
+  // The EVD forms only the kept vectors: the rank is picked from the
+  // eigenvalues before any vector exists.
   la::EvdResult<T> evd;
   {
     prof::TraceSpan t("evd", Phase::evd);
-    evd = la::sym_evd<T>(gram.cref());
+    evd = la::sym_evd<T>(gram.cref(), [&](const std::vector<double>& ev) {
+      return rank > 0 ? rank : rank_for_threshold(ev, tau_sq);
+    });
   }
   LlsvResult<T> out;
-  out.rank = rank > 0 ? rank : rank_for_threshold(evd.eigenvalues, tau_sq);
-  out.u = evd.vectors.leading_block(evd.vectors.rows(), out.rank);
+  out.rank = evd.vectors.cols();
+  out.u = std::move(evd.vectors);
   out.eigenvalues = std::move(evd.eigenvalues);
   return out;
 }

@@ -5,7 +5,8 @@
 //
 //  * Gram + EVD (paper §2.1): eigenvectors of the replicated Gram matrix.
 //    The EVD is sequential (replicated on all ranks), reproducing
-//    TuckerMPI's O(n^3) bottleneck.
+//    TuckerMPI's O(n^3) bottleneck; it computes every eigenvalue, picks
+//    the rank, then forms only that many eigenvectors.
 //  * QR-SVD (Li, Fang & Ballard, cited in §2.3): a distributed TSQR of the
 //    transposed unfolding followed by a small sequential SVD of the
 //    triangular factor. Avoids squaring the condition number (the Gram

@@ -44,25 +44,26 @@ MachineRates calibrate(bool quick) {
   }
 
   // Sequential rate: the EVD kernel itself (it is the STHOSVD bottleneck
-  // the model must capture).
+  // the model must capture), called as llsv_gram calls it: on a Gram
+  // matrix of the paper-regime mode size (DESIGN §1, miranda_like 256^3),
+  // forming only a few leading vectors. Smaller n reads a lower rate: the
+  // O(n^2) QL iteration, slow per flop, weighs more there.
   {
-    const la::idx_t n = quick ? 64 : 192;
-    auto a = random_matrix(n, n, 3);
+    const la::idx_t n = 256;
+    constexpr la::idx_t kKept = 8;
+    auto a = random_matrix(n, 2 * n, 3);
     la::Matrix<float> s(n, n);
-    for (la::idx_t j = 0; j < n; ++j) {
-      for (la::idx_t i = 0; i < n; ++i) {
-        s(i, j) = 0.5f * (a(i, j) + a(j, i));
-      }
-    }
+    la::syrk<float>(1.0f, a.cref(), 0.0f, s.ref());
+    const la::EvdKeep keep = [](const std::vector<double>&) { return kKept; };
     Stopwatch clock;
     int reps = 0;
     do {
-      (void)la::sym_evd<float>(s.cref());
+      (void)la::sym_evd<float>(s.cref(), keep);
       ++reps;
     } while (clock.elapsed() < (quick ? 0.02 : 0.2));
-    const double nd = static_cast<double>(n);
     rates.seq_flops_per_sec =
-        9.0 * nd * nd * nd * reps / std::max(clock.elapsed(), 1e-9);
+        la::sym_evd_flops(static_cast<double>(n), static_cast<double>(kKept)) *
+        reps / std::max(clock.elapsed(), 1e-9);
   }
 
   // Local memory bandwidth: a large streaming AXPY (2 reads + 1 write per

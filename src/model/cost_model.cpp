@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "la/eig.hpp"
 
 namespace rahooi::model {
 
@@ -68,7 +69,7 @@ CostBreakdown predict(Algorithm a, const Problem& prob) {
   CostBreakdown c;
   if (a == Algorithm::sthosvd) {
     c.gram_flops = nd * n / p;
-    c.evd_flops = 9.0 * d * n * n * n;
+    c.evd_flops = d * la::sym_evd_flops(n, r);
     c.ttm_flops = 2.0 * r * nd / p;
     c.llsv_words = (nd / p) * (p1 - 1) / p1 + d * n * n;
     c.ttm_words = (r * nd / n / p) * (p1 - 1);
@@ -96,7 +97,7 @@ CostBreakdown predict(Algorithm a, const Problem& prob) {
   } else {
     // Gram + EVD: d Gram matrices of n^2 r^{d-1}/P plus sequential EVDs.
     c.gram_flops = ell * d * n * n * std::pow(r, d - 1) / p;
-    c.evd_flops = ell * 9.0 * d * n * n * n;
+    c.evd_flops = ell * d * la::sym_evd_flops(n, r);
     c.llsv_words =
         ell * ((n * std::pow(r, d - 1) / p) * sum_frac(grid) + d * n * n);
   }
@@ -250,7 +251,7 @@ core::SvdMethod pick_llsv_backend(const Problem& prob,
 
   // Per-mode modeled seconds of each family (see header for the formulas).
   const double gram = n * n * fibers / p / m.flops_per_sec +
-                      9.0 * n * n * n / m.seq_flops_per_sec +
+                      la::sym_evd_flops(n, r) / m.seq_flops_per_sec +
                       2.0 * n * n * (p - 1.0) / p * beta;
   const double sketch = 2.0 * fibers * s * n / p / m.flops_per_sec +
                         4.0 * n * s * s / m.seq_flops_per_sec +

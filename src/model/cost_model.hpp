@@ -142,7 +142,8 @@ double predict_sketch_llsv_words(double n, double s, double p);
 /// Picks the cheapest LLSV backend for one mode of a warm-started HOOI
 /// sweep of a cubical problem by modeled per-mode time
 /// (K = n^(d-1) fibers):
-///  * gram_evd: n^2 K / P flops + 9 n^3 sequential EVD + 2 n^2 (P-1)/P words
+///  * gram_evd: n^2 K / P flops + the sequential EVD forming r vectors
+///    (la::sym_evd_flops(n, r), ~(4/3) n^3) + 2 n^2 (P-1)/P words
 ///  * subspace_iteration: ~4 n r^d / P flops (TTM + contraction on the
 ///    memoized iterate) + ~4 n r^2 sequential QRCP + 2 n r (P-1)/P words
 ///  * gaussian_sketch: 2 K s n / P flops (s = r + oversample) + ~4 n s^2

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "comm/runtime.hpp"
+#include "data/science.hpp"
 #include "la/qr.hpp"
 #include "tensor/ttm.hpp"
 #include "test_util.hpp"
@@ -56,6 +57,26 @@ TEST(Sthosvd, ErrorSpecifiedMeetsTolerance) {
       EXPECT_LE(res.relative_error(), eps) << "eps=" << eps;
     });
   }
+}
+
+// Error-specified ranks on the miranda_like field, pinned at the ranks the
+// full-vector EISPACK eigensolver (tred2 + tql2) chose: forming only the
+// kept eigenvectors must not move a truncation decision.
+TEST(Sthosvd, MirandaLikeErrorSpecifiedRanksUnchanged) {
+  struct Case {
+    double eps;
+    std::vector<la::idx_t> ranks;
+  };
+  const Case cases[] = {{0.1, {2, 2, 2}}, {0.05, {4, 2, 2}}, {0.01, {6, 5, 5}}};
+  comm::Runtime::run(2, [&](comm::Comm& world) {
+    dist::ProcessorGrid grid(world, {1, 1, 2});
+    const auto x = data::miranda_like<float>(grid, 64);
+    for (const Case& c : cases) {
+      const auto res = sthosvd(x, c.eps);
+      EXPECT_EQ(res.ranks(), c.ranks) << "eps=" << c.eps;
+      EXPECT_LE(res.relative_error(), c.eps) << "eps=" << c.eps;
+    }
+  });
 }
 
 TEST(Sthosvd, ErrorIdentityMatchesDenseReconstruction) {
